@@ -13,6 +13,7 @@ from .errors import (
     DipTooShallow,
     FingerprintMismatch,
     ModelNotInvertible,
+    Multistable,
     NoConvergence,
     NoInteriorMinimum,
     OamCavityError,
@@ -64,6 +65,7 @@ from .response import (
 from .spectrum import (
     Spectrum,
     ValleyReport,
+    charge_step_shift,
     find_valley,
     linewidth,
     sample_spectrum,
@@ -74,6 +76,7 @@ from .steady import (
     SteadyState,
     bare_detunings,
     effective_detunings,
+    operating_point,
     solve_steady,
     steady_residual,
 )

@@ -6,13 +6,22 @@ flags, tool version and parameter fingerprint, so any run can be exactly
 re-executed.  Data files contain no wall-clock information and are
 byte-identical across reruns of the same (config, flags, version).
 
-Exit codes (frozen for scripting):
+Exit codes (frozen for scripting).  Each error class carries its own as
+``exit_code``; ``main`` maps any OamCavityError to it:
     0  success
-    2  configuration invalid
-    3  multistable steady state and no --branch given
-    4  numeric failure
-    5  measurement out of calibration range
-    6  calibration fingerprint mismatch (no --force)
+    2  configuration invalid: ConfigError, a missing or malformed config
+       file, an invalid range or --branch on the command line
+    3  multistable steady state and no --branch given: Multistable
+    4  numeric failure: every other OamCavityError (NoConvergence,
+       SingularSystem, NoInteriorMinimum, DipTooShallow, ModelNotInvertible,
+       CalibrationError, StepSizeUnderflow, WindowTooShort, PoorFit), and a
+       `validate` deviation above 1e-3
+    5  measurement out of calibration range: OutOfRange
+    6  calibration fingerprint mismatch (no --force): FingerprintMismatch
+
+Errors are reported on stderr as ``<ErrorClass>: <message>``; a ConfigError
+message names every offending config field.  `spectrum` without --branch
+on a multistable config instead prints the coexisting roots as JSON.
 """
 
 from __future__ import annotations
@@ -28,17 +37,14 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .errors import (
-    CalibrationError,
     ConfigError,
     DipTooShallow,
     FingerprintMismatch,
-    ModelNotInvertible,
+    Multistable,
     NoConvergence,
     NoInteriorMinimum,
     OamCavityError,
-    OutOfRange,
     SingularSystem,
-    StepSizeUnderflow,
 )
 from .oam import (
     build_calibration,
@@ -48,17 +54,15 @@ from .oam import (
     save_calibration,
 )
 from .oracle import default_t_end, demodulate, integrate_mean_field
-from .params import canonical_dict, derive_params, fingerprint, load_config
+from .params import Detuning2Spec, canonical_dict, derive_params, fingerprint, load_config
 from .response import sideband_response, transmission_at
-from .spectrum import DEFAULT_WINDOW, find_valley, sample_spectrum, shift_distance
-from .steady import bare_detunings, solve_steady
+from .spectrum import DEFAULT_WINDOW, charge_step_shift, find_valley, sample_spectrum
+from .steady import bare_detunings, operating_point, solve_steady
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_MULTISTABLE = 3
-EXIT_NUMERIC = 4
-EXIT_RANGE = 5
-EXIT_FINGERPRINT = 6
+EXIT_CONFIG = ConfigError.exit_code
+EXIT_MULTISTABLE = Multistable.exit_code
+EXIT_NUMERIC = OamCavityError.exit_code
 
 _FLOAT_FMT = "%.16e"  # 17 significant digits, round-trippable doubles
 
@@ -188,12 +192,9 @@ def cmd_estimate(args) -> int:
         config = load_config(args.config)
         params = derive_params(config)
         if not check_fingerprint(curve, params) and not args.force:
-            print(
-                "calibration fingerprint does not match the supplied config "
-                "(use --force to override)",
-                file=sys.stderr,
+            raise FingerprintMismatch(
+                "calibration fingerprint does not match the supplied config (use --force to override)"
             )
-            return EXIT_FINGERPRINT
     est = estimate_oam(curve, args.x_measured)
     print(
         json.dumps(
@@ -212,27 +213,18 @@ def cmd_estimate(args) -> int:
 def _sweep_point(task):
     """One sweep evaluation; returns (axis_value, observable_value, valid)."""
     config, axis, value, observable = task
+    if axis == "drive2-power":
+        cfg = dataclasses.replace(config, drive2_power=float(value))
+    elif axis == "detuning2":
+        cfg = dataclasses.replace(config, detuning2=Detuning2Spec("effective", float(value)))
+    elif axis == "charge-l1":
+        cfg = dataclasses.replace(config, charge_l1=int(value))
+    else:
+        raise ValueError(f"unknown axis {axis!r}")
     try:
-        if axis == "drive2-power":
-            cfg = dataclasses.replace(config, drive2_power=float(value))
-        elif axis == "detuning2":
-            from .params import Detuning2Spec
-
-            cfg = dataclasses.replace(config, detuning2=Detuning2Spec("effective", float(value)))
-        elif axis == "charge-l1":
-            cfg = dataclasses.replace(config, charge_l1=int(value))
-        else:
-            raise ValueError(f"unknown axis {axis!r}")
-        params = derive_params(cfg)
         if observable == "shift-distance":
-            rows = shift_distance(params, cfg.charge_l1, [params.detuning2.value
-                                                          if params.detuning2.mode == "effective" else 0.0])
-            _, d, valid = rows[0]
-            return value, d, valid
-        report = solve_steady(params)
-        if report.multistable:
-            return value, float("nan"), False
-        steady = report.selected
+            return value, charge_step_shift(cfg), True
+        params, steady = operating_point(cfg)
         if observable == "x-star":
             return value, find_valley(params, steady).x_star, True
         if observable == "resonance-transmission":
@@ -240,7 +232,7 @@ def _sweep_point(task):
         if observable == "detuning":
             return value, (steady.delta1 - params.omega_phi) / params.omega_phi, True
         raise ValueError(f"unknown observable {observable!r}")
-    except (NoConvergence, NoInteriorMinimum, DipTooShallow, SingularSystem):
+    except (Multistable, NoConvergence, NoInteriorMinimum, DipTooShallow, SingularSystem):
         return value, float("nan"), False
 
 
@@ -292,12 +284,7 @@ def cmd_validate(args) -> int:
     config = load_config(args.config)
     # fast-relaxation override: structural equivalence is what is being tested
     config = dataclasses.replace(config, quality_factor=float(args.quality_override))
-    params = derive_params(config)
-    report = solve_steady(params)
-    if report.multistable:
-        print("multistable steady state; validation needs a monostable config", file=sys.stderr)
-        return EXIT_MULTISTABLE
-    steady = report.selected
+    params, steady = operating_point(config)
     bare = bare_detunings(params, steady)
 
     probe_scale = args.probe_scale * params.eps1 / params.eps_p if params.eps_p > 0 else 0.0
@@ -396,33 +383,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except ConfigError as err:
-        for v in err.violations:
-            print(f"config error: {v}", file=sys.stderr)
-        return EXIT_CONFIG
     except (FileNotFoundError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except OutOfRange as err:
-        print(f"out of range: {err}", file=sys.stderr)
-        return EXIT_RANGE
-    except FingerprintMismatch as err:
-        print(f"fingerprint mismatch: {err}", file=sys.stderr)
-        return EXIT_FINGERPRINT
-    except (
-        NoConvergence,
-        SingularSystem,
-        NoInteriorMinimum,
-        DipTooShallow,
-        StepSizeUnderflow,
-        CalibrationError,
-        ModelNotInvertible,
-        OamCavityError,
-    ) as err:
-        print(f"numeric failure: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except OamCavityError as err:
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return err.exit_code
 
 
 if __name__ == "__main__":

@@ -2,11 +2,19 @@
 
 
 class OamCavityError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``exit_code`` is the CLI exit status the error maps to; 4 (numeric
+    failure) unless a subclass says otherwise.
+    """
+
+    exit_code = 4
 
 
 class ConfigError(OamCavityError):
     """Configuration rejected; carries the list of violations."""
+
+    exit_code = 2
 
     def __init__(self, violations):
         self.violations = list(violations)
@@ -25,6 +33,22 @@ class NoConvergence(OamCavityError):
     def __init__(self, message, window=None):
         super().__init__(message)
         self.window = window
+
+
+class Multistable(OamCavityError):
+    """Several steady states coexist; the operating point is ambiguous.
+
+    Attributes
+    ----------
+    report : SteadySolveReport
+        The full solve, all coexisting roots included.
+    """
+
+    exit_code = 3
+
+    def __init__(self, report):
+        super().__init__(f"{len(report.all_roots)} coexisting steady states")
+        self.report = report
 
 
 class SingularSystem(OamCavityError):
@@ -46,9 +70,13 @@ class ModelNotInvertible(OamCavityError):
 class OutOfRange(OamCavityError):
     """Measured valley position lies outside the calibration range."""
 
+    exit_code = 5
+
 
 class FingerprintMismatch(OamCavityError):
     """Calibration file was built from different physical parameters."""
+
+    exit_code = 6
 
 
 class StepSizeUnderflow(OamCavityError):

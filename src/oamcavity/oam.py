@@ -13,10 +13,18 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .errors import CalibrationError, ModelNotInvertible, NoConvergence, NoInteriorMinimum, OutOfRange, SingularSystem
-from .params import SystemParams, derive_params, fingerprint
+from .errors import (
+    CalibrationError,
+    ModelNotInvertible,
+    Multistable,
+    NoConvergence,
+    NoInteriorMinimum,
+    OutOfRange,
+    SingularSystem,
+)
+from .params import SystemParams, fingerprint
 from .spectrum import DEFAULT_WINDOW, find_valley
-from .steady import solve_steady
+from .steady import operating_point
 
 CALIBRATION_FORMAT = "oamcavity-calibration-v1"
 MAX_FAILURE_FRACTION = 0.10
@@ -53,13 +61,11 @@ class OamEstimate:
 
 def _entry_for_charge(args) -> tuple[int, CalibrationEntry | None, str | None]:
     params_template, charge, window = args
-    cfg = replace(params_template.config, charge_l1=charge)
-    p = derive_params(cfg)
     try:
-        report = solve_steady(p)
-        if report.multistable:
-            return charge, None, "multistable"
-        valley = find_valley(p, report.selected, window)
+        params, steady = operating_point(replace(params_template.config, charge_l1=charge))
+        valley = find_valley(params, steady, window)
+    except Multistable:
+        return charge, None, "multistable"
     except NoInteriorMinimum:
         return charge, None, "no-interior-minimum"
     except (NoConvergence, SingularSystem) as err:
@@ -147,17 +153,12 @@ def detuning_curve(params_template: SystemParams, l_min: int, l_max: int):
     rows = []
     omega_phi = params_template.omega_phi
     for charge in range(l_min, l_max + 1):
-        cfg = replace(params_template.config, charge_l1=charge)
-        p = derive_params(cfg)
         try:
-            report = solve_steady(p)
-        except NoConvergence:
+            _, steady = operating_point(replace(params_template.config, charge_l1=charge))
+        except (Multistable, NoConvergence):
             rows.append((charge, None))
             continue
-        if report.multistable:
-            rows.append((charge, None))
-            continue
-        rows.append((charge, (report.selected.delta1 - omega_phi) / omega_phi))
+        rows.append((charge, (steady.delta1 - omega_phi) / omega_phi))
     return rows
 
 

@@ -194,12 +194,6 @@ def transmission_at(params: SystemParams, steady: SteadyState, omega: float) -> 
     return transmission(params, resp.c1_plus)
 
 
-def transmission_point(params: SystemParams, steady: SteadyState, x: float) -> TransmissionPoint:
-    """T at the normalized detuning x = (Omega - omega_phi)/omega_phi."""
-    omega = params.omega_phi * (1.0 + x)
-    return TransmissionPoint(omega=omega, x=x, transmission=transmission_at(params, steady, omega))
-
-
 def _stacked_system(params: SystemParams, steady: SteadyState, omegas: np.ndarray):
     n = len(omegas)
     k1, k2 = params.kappa1, params.kappa2

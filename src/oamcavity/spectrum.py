@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DipTooShallow, NoInteriorMinimum
-from .params import SystemParams, fingerprint
+from .errors import DipTooShallow, Multistable, NoConvergence, NoInteriorMinimum, SingularSystem
+from .params import Detuning2Spec, SystemConfig, SystemParams, fingerprint
 from .response import TransmissionPoint, transmission_at, transmission_many
-from .steady import SteadyState
+from .steady import SteadyState, operating_point
 
 DEFAULT_WINDOW = (-0.2, 0.2)
 MAX_ABS_X = 2.0
@@ -258,39 +258,34 @@ def _measure_fwhm(
     return w
 
 
+def charge_step_shift(config: SystemConfig, window: tuple[float, float] = DEFAULT_WINDOW) -> float:
+    """|x*(l1+1) - x*(l1)| at the config's own charge l1 and detuning-2 spec.
+
+    Raises what operating_point and find_valley raise for either charge.
+    """
+    xs = []
+    for charge in (config.charge_l1, config.charge_l1 + 1):
+        params, steady = operating_point(replace(config, charge_l1=charge))
+        xs.append(find_valley(params, steady, window).x_star)
+    return abs(xs[1] - xs[0])
+
+
 def shift_distance(
     params_template: SystemParams,
     l1: int,
     delta2_scan,
     window: tuple[float, float] = DEFAULT_WINDOW,
 ):
-    """Spectral shift distance d = |x*(l1+1) - x*(l1)| per scanned Delta_2.
+    """Spectral shift distance d = |x*(l1+1) - x*(l1)| per scanned effective Delta_2.
 
     Returns a list of rows (delta2_over_omega, d, valid); rows where a
     valley cannot be located are marked invalid and the scan continues.
     """
-    from dataclasses import replace as dc_replace
-
-    from .errors import NoConvergence, SingularSystem
-    from .params import Detuning2Spec, derive_params
-    from .steady import solve_steady
-
     rows = []
     for d2 in delta2_scan:
+        cfg = replace(params_template.config, charge_l1=l1, detuning2=Detuning2Spec("effective", float(d2)))
         try:
-            xs = []
-            for charge in (l1, l1 + 1):
-                cfg = dc_replace(
-                    params_template.config,
-                    charge_l1=charge,
-                    detuning2=Detuning2Spec("effective", float(d2)),
-                )
-                p = derive_params(cfg)
-                rep = solve_steady(p)
-                if rep.multistable:
-                    raise NoInteriorMinimum("multistable steady state in scan row")
-                xs.append(find_valley(p, rep.selected, window).x_star)
-            rows.append((d2 / params_template.omega_phi, abs(xs[1] - xs[0]), True))
-        except (NoInteriorMinimum, DipTooShallow, NoConvergence, SingularSystem):
+            rows.append((d2 / params_template.omega_phi, charge_step_shift(cfg, window), True))
+        except (Multistable, NoInteriorMinimum, DipTooShallow, NoConvergence, SingularSystem):
             rows.append((d2 / params_template.omega_phi, float("nan"), False))
     return rows

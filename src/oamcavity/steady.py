@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
-from .params import SystemParams
+from .errors import Multistable, NoConvergence
+from .params import SystemConfig, SystemParams, derive_params
 
 #: residual tolerance: |residual| <= TOL_REL * max(|phi_s|, PHI_FLOOR)
 TOL_REL = 1e-6
@@ -53,8 +53,6 @@ class SteadySolveReport:
     selected: SteadyState
     all_roots: tuple[SteadyState, ...]
     multistable: bool
-    bracket_count: int
-    iterations: int
 
 
 def _bare_detuning2(params: SystemParams, phi: float) -> float:
@@ -81,7 +79,8 @@ def _photon_numbers(params: SystemParams, phi: float, scale: float = 1.0) -> tup
 def steady_residual(phi: float, params: SystemParams, _scale: float = 1.0) -> float:
     """Fixed-point defect phi - hbar*(-g1*N1(phi) + g2*N2(phi))/(I*omega_phi^2).
 
-    Exposed for testing and root bracketing; zero at any self-consistent root.
+    Exposed for testing and root bracketing (phi may be the scan grid array);
+    zero at any self-consistent root.
     """
     n1, n2, _, _ = _photon_numbers(params, phi, _scale)
     rhs = params.hbar * (-params.g1 * n1 + params.g2 * n2) / (params.inertia * params.omega_phi**2)
@@ -124,26 +123,14 @@ def _state_at(params: SystemParams, phi: float, branch_tag: str) -> SteadyState:
     )
 
 
-def _residual_grid(phis: np.ndarray, params: SystemParams, scale: float) -> np.ndarray:
-    d1 = params.detuning1 + params.g1 * phis
-    if params.detuning2.mode == "bare":
-        d2 = params.detuning2.value - params.g2 * phis
-    else:
-        d2 = np.full_like(phis, params.detuning2.value)
-    n1 = scale * params.eps1**2 / (params.kappa1**2 + d1 * d1)
-    n2 = scale * params.eps2**2 / (params.kappa2**2 + d2 * d2)
-    rhs = params.hbar * (-params.g1 * n1 + params.g2 * n2) / (params.inertia * params.omega_phi**2)
-    return phis - rhs
-
-
-def _find_roots(params: SystemParams, scale: float) -> tuple[list[float], int, int]:
+def _find_roots(params: SystemParams, scale: float) -> list[float]:
     """All fixed points at drive power fraction `scale`: bracket scan + bisection + Newton."""
     amp = 4.0 * params.hbar * (
         abs(params.g1) * scale * params.eps1**2 / params.kappa1**2
         + abs(params.g2) * scale * params.eps2**2 / params.kappa2**2
     ) / (params.inertia * params.omega_phi**2)
     if amp == 0.0:
-        return [0.0], 0, 0
+        return [0.0]
 
     # mirror-symmetric grid: grid[i] == -grid[n-1-i] bitwise, so the whole
     # solve commutes exactly with the l1 -> -l1 sign flip
@@ -151,22 +138,18 @@ def _find_roots(params: SystemParams, scale: float) -> tuple[list[float], int, i
     step = amp / half
     pos = np.arange(1, half + 1) * step
     grid = np.concatenate([-pos[::-1], [0.0], pos])
-    vals = _residual_grid(grid, params, scale)
+    vals = steady_residual(grid, params, scale)
 
-    iterations = 0
     roots: list[float] = []
-    brackets = 0
     sign_change = np.where(vals[:-1] * vals[1:] < 0.0)[0]
     roots.extend(float(g) for g in grid[vals == 0.0])
     for i in sign_change:
         a, b = float(grid[i]), float(grid[i + 1])
         fa = float(vals[i])
-        brackets += 1
         # bisection to 1e-14 relative
         while (b - a) > 1e-14 * max(abs(a), abs(b), PHI_FLOOR):
             m = 0.5 * (a + b)
             fm = steady_residual(m, params, scale)
-            iterations += 1
             if fm == 0.0:
                 a = b = m
                 break
@@ -186,7 +169,7 @@ def _find_roots(params: SystemParams, scale: float) -> tuple[list[float], int, i
     for r in roots:
         if not dedup or abs(r - dedup[-1]) > 1e-9 * max(abs(r), PHI_FLOOR):
             dedup.append(r)
-    return dedup, brackets, iterations
+    return dedup
 
 
 def solve_steady(params: SystemParams) -> SteadySolveReport:
@@ -201,17 +184,12 @@ def solve_steady(params: SystemParams) -> SteadySolveReport:
     NoConvergence
         if no root satisfies the residual tolerance (reports scan window).
     """
-    total_iters = 0
-    total_brackets = 0
-
     # continuation in total drive power, 16 geometric steps ending at 1
     scales = [2.0 ** (k - (_POWER_STEPS - 1)) for k in range(_POWER_STEPS)]
     tracked = 0.0
     roots: list[float] = [0.0]
     for s in scales:
-        roots, brackets, iters = _find_roots(params, s)
-        total_brackets += brackets
-        total_iters += iters
+        roots = _find_roots(params, s)
         if not roots:
             raise NoConvergence(
                 f"bracket scan found no sign change at power fraction {s:g}",
@@ -238,9 +216,24 @@ def solve_steady(params: SystemParams) -> SteadySolveReport:
         selected=selected,
         all_roots=tuple(states),
         multistable=len(states) > 1,
-        bracket_count=total_brackets,
-        iterations=total_iters,
     )
+
+
+def operating_point(config: SystemConfig) -> tuple[SystemParams, SteadyState]:
+    """Derived parameters and the steady state of a monostable configuration.
+
+    Raises
+    ------
+    Multistable
+        when several steady states coexist; carries the full report.
+    NoConvergence
+        as solve_steady.
+    """
+    params = derive_params(config)
+    report = solve_steady(params)
+    if report.multistable:
+        raise Multistable(report)
+    return params, report.selected
 
 
 def bare_detunings(params: SystemParams, steady: SteadyState) -> tuple[float, float]:

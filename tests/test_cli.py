@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import oamcavity
+from oamcavity import NoInteriorMinimum, derive_params, find_valley, load_config, solve_steady
 from oamcavity.cli import main
+
+BISTABLE_DEMO = str(Path(__file__).resolve().parents[1] / "configs" / "bistable_demo.json")
 
 BASE = {
     "mirror_radius_m": 1e-5,
@@ -125,6 +131,15 @@ def test_calibrate_bounds_exit_2(tmp_path, config_path):
                  "--out", str(tmp_path / "c.json")]) == 2
 
 
+def test_calibrate_multistable_exit_4(tmp_path, capsys):
+    code = main(["calibrate", "--config", BISTABLE_DEMO, "--l-min", "50", "--l-max", "50",
+                 "--out", str(tmp_path / "c.json"), "--jobs", "1"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("CalibrationError: ")
+    assert "(50, 'multistable')" in err
+
+
 def test_calibrate_single_entry_warns(tmp_path, config_path, capsys):
     out = tmp_path / "cal.json"
     code = main(["calibrate", "--config", config_path, "--l-min", "30", "--l-max", "30",
@@ -183,6 +198,25 @@ def test_estimate_fingerprint_mismatch_exit_6(tmp_path, config_path):
                  "--config", config_path, "--force"]) == 0
 
 
+def test_estimate_non_monotone_exit_4(tmp_path, capsys):
+    cal = tmp_path / "cal.json"
+    doc = json.loads(Path(synthetic_calibration(cal)).read_text())
+    doc["monotone"] = False
+    cal.write_text(json.dumps(doc))
+    assert main(["estimate", "--calibration", str(cal), "--x-measured", "0.01"]) == 4
+    assert capsys.readouterr().err.startswith("ModelNotInvertible: ")
+
+
+def test_sweep_negative_drive2_power_exit_2(tmp_path, config_path, capsys):
+    code = main(["sweep", "--config", config_path, "--axis", "drive2-power",
+                 "--start", "-0.1", "--stop", "0.1", "-n", "3", "--observable", "detuning",
+                 "--out", str(tmp_path / "s.csv"), "--jobs", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ")
+    assert "drive2_power" in err
+
+
 def test_sweep_empty_range_exit_2(tmp_path, config_path):
     assert main(["sweep", "--config", config_path, "--axis", "drive2-power",
                  "--start", "0", "--stop", "0", "-n", "0",
@@ -232,6 +266,39 @@ def test_sweep_shift_distance_observable(tmp_path):
     assert float(first[0]) == 0.0
 
 
+@pytest.mark.parametrize("drive2_power_w, d2_over_omega, failure", [
+    (0.1, 0.0, "no-valley"),
+    (0.1, 1.0, "multistable"),
+    (0.01, 0.5, None),
+])
+def test_sweep_shift_distance_at_bare_detuning(tmp_path, drive2_power_w, d2_over_omega, failure):
+    """Both valleys are read at the config's own bare Delta_c2, not at effective Delta_2 = 0."""
+    doc = dict(BASE, drive2_power_w=drive2_power_w, charge_l1=5)
+    del doc["detuning2_effective_rad_s"]
+    doc["detuning2_bare_rad_s"] = d2_over_omega * BASE["rotation_frequency_rad_s"]
+    cfg = tmp_path / "bare.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "d.csv"
+    code = main(["sweep", "--config", str(cfg), "--axis", "charge-l1", "--start", "5", "--stop", "5",
+                 "-n", "1", "--observable", "shift-distance", "--out", str(out), "--jobs", "1"])
+    assert code == 0
+    row = out.read_text().splitlines()[1].split(",")
+    params = [derive_params(dataclasses.replace(load_config(str(cfg)), charge_l1=c)) for c in (5, 6)]
+    reports = [solve_steady(p) for p in params]
+    if failure is None:
+        assert not any(r.multistable for r in reports)
+        xs = [find_valley(p, r.selected).x_star for p, r in zip(params, reports)]
+        assert row == ["5", f"{abs(xs[1] - xs[0]):.16e}", "1"]
+        return
+    if failure == "multistable":
+        assert reports[0].multistable
+    else:
+        assert not reports[0].multistable
+        with pytest.raises(NoInteriorMinimum):
+            find_valley(params[0], reports[0].selected)
+    assert row == ["5", "nan", "0"]
+
+
 def test_missing_config_exit_2(tmp_path, capsys):
     assert main(["spectrum", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o.csv")]) == 2
@@ -256,6 +323,38 @@ def test_validate_strong_probe_breakdown(tmp_path, capsys):
     code = main(["validate", "--config", cfg, "-n", "1", "--probe-scale", "0.3"])
     assert code == 4
     assert "PoorFit" in capsys.readouterr().err
+
+
+def test_validate_multistable_exit_3(capsys):
+    assert main(["validate", "--config", BISTABLE_DEMO, "-n", "1"]) == 3
+    assert capsys.readouterr().err.startswith("Multistable: 3 coexisting steady states")
+
+
+def _documented_exit_codes() -> dict[str, int]:
+    """Error class name -> exit code, read from the table in the cli module docstring."""
+    table, code = {}, None
+    for line in oamcavity.cli.__doc__.splitlines():
+        m = re.match(r" {4}(\d)  ", line)
+        if m:
+            code = int(m.group(1))
+        elif not line.startswith(" " * 7):
+            code = None
+        if code is not None:
+            for word in re.findall(r"\w+", line):
+                if isinstance(getattr(oamcavity, word, None), type):
+                    table[word] = code
+    return table
+
+
+def test_error_exit_codes_match_documented_table():
+    classes = {
+        name: obj for name, obj in vars(oamcavity).items()
+        if isinstance(obj, type) and issubclass(obj, oamcavity.OamCavityError)
+    }
+    assert _documented_exit_codes() == {name: cls.exit_code for name, cls in classes.items()}
+    special = {"ConfigError": 2, "Multistable": 3, "OutOfRange": 5, "FingerprintMismatch": 6}
+    for name, cls in classes.items():
+        assert cls.exit_code == special.get(name, 4), name
 
 
 def test_console_script_installed():

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from oamcavity import (
+    Multistable,
     bare_detunings,
     default_config,
     derive_params,
     effective_detunings,
+    operating_point,
     solve_steady,
     steady_residual,
 )
@@ -139,6 +141,21 @@ def test_bistable_reporting():
     assert sum(st.branch_tag == "alternative" for st in rep.all_roots) == 2
     for st in rep.all_roots:
         assert abs(st.residual) <= TOL_REL * max(abs(st.phi), PHI_FLOOR)
+
+
+def test_operating_point_raises_multistable_with_report():
+    with pytest.raises(Multistable) as exc:
+        operating_point(default_config(drive1_power=0.4, drive2_power=0.0))
+    assert exc.value.exit_code == 3
+    assert len(exc.value.report.all_roots) == 3
+    assert exc.value.report.multistable
+
+
+def test_operating_point_is_derive_plus_selected_root():
+    config = default_config(drive1_power=0.1e-6, drive2_power=0.1)
+    params, steady = operating_point(config)
+    assert params == derive_params(config)
+    assert steady == solve_steady(params).selected
 
 
 def test_bare_detuning_tracks_effective_spec(weak_bright):
