@@ -10,8 +10,13 @@ with the probe drive entering only the c1+ row.  The two mechanical rows
 are conjugate images of one another, so phi_- = conj(phi_+) must emerge
 from the solve; it is returned and checked rather than assumed.
 
-The closed-form single-amplitude expression (D1..D4 form) is kept as an
-independent cross-check of c1+ only; the linear solve is authoritative.
+The hot path, `c1_plus_many`, eliminates the system exactly onto phi+
+(O(1) arithmetic per detuning); every T evaluation goes through it, via
+`transmission_many` or `transmission_at`.  The six-amplitude LU
+`sideband_response` is the reference: the tests compare the kernel with
+it and `validate` uses it, because it returns phi_- for the reality check.
+The closed-form single-amplitude expression (D1..D4 form) is a third,
+independent cross-check of c1+ only.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from .steady import SteadyState
 
 _log = logging.getLogger(__name__)
 
-#: |det| below this fraction of the row-norm product means singular
+#: relative singularity test: |det| against the row-norm product in the
+#: reference solve, |den| against |mech| + |s1| + |s2| in the kernel
 DET_THRESHOLD = 1e-30
 #: T above this is flagged (not raised) as probe gain
 GAIN_FLOOR = 1.0 + 1e-6
@@ -189,78 +195,61 @@ def transmission(params: SystemParams, c1_plus: complex, eps_p: float | None = N
 
 
 def transmission_at(params: SystemParams, steady: SteadyState, omega: float) -> float:
-    """Convenience: solve the sideband system and map c1+ to T at one Omega."""
-    resp = sideband_response(params, steady, omega)
-    return transmission(params, resp.c1_plus)
+    """T at one Omega, through the same kernel as `transmission_many`."""
+    if not math.isfinite(omega):
+        raise ValueError(f"probe detuning must be finite, got {omega!r}")
+    return float(transmission_many(params, steady, np.array([omega]))[0])
 
 
-def _stacked_system(params: SystemParams, steady: SteadyState, omegas: np.ndarray):
-    n = len(omegas)
-    k1, k2 = params.kappa1, params.kappa2
+def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarray:
+    """c1+ over many probe detunings: the sideband system eliminated onto phi+.
+
+    Each cavity row couples only to its own amplitude and to phi, and the
+    two mechanical rows differ only in their phi column, so with
+    a_i = kappa_i + i(Delta_i - Omega), b_i = kappa_i - i(Delta_i + Omega)
+    the mechanical row closes on phi+ alone:
+
+        phi+ = -hg1*conj(c1s)*eps_p / (a1*den),  den = mech + s1 + s2,
+        s_i  = i*hg_i*g_i*N_i*(1/b_i - 1/a_i) = -2*hg_i*g_i*N_i*Delta_i/(a_i*b_i),
+
+    and c1+ = (eps_p - i*g1*c1s*phi+)/a1.  O(1) arithmetic per detuning.
+
+    Raises SingularSystem naming the first detuning where
+    |den| <= DET_THRESHOLD*(|mech| + |s1| + |s2|).
+    """
+    omegas = np.asarray(omegas, dtype=float)
     g1, g2 = params.g1, params.g2
     d1, d2 = steady.delta1, steady.delta2
     c1s, c2s = steady.c1, steady.c2
     hg1 = params.hbar * g1 / params.inertia
     hg2 = params.hbar * g2 / params.inertia
-    mech = params.omega_phi**2 - omegas**2 - 1j * params.gamma_phi * omegas
+    # scalar coefficients first, so each array term costs one or two ufuncs
+    iw = 1j * omegas
+    mech = params.omega_phi**2 + iw * (iw - params.gamma_phi)
+    a1 = params.kappa1 + 1j * d1 - iw
+    b1 = params.kappa1 - 1j * d1 - iw
+    a2 = params.kappa2 + 1j * d2 - iw
+    b2 = params.kappa2 - 1j * d2 - iw
+    s1 = -2.0 * hg1 * g1 * abs(c1s) ** 2 * d1 / (a1 * b1)
+    s2 = -2.0 * hg2 * g2 * abs(c2s) ** 2 * d2 / (a2 * b2)
+    den = mech + s1 + s2
 
-    a = np.zeros((n, 6, 6), dtype=complex)
-    b = np.zeros((n, 6), dtype=complex)
-    a[:, 0, 0] = k1 + 1j * (d1 - omegas)
-    a[:, 0, 4] = 1j * g1 * c1s
-    b[:, 0] = params.eps_p
-    a[:, 1, 1] = k1 - 1j * (d1 + omegas)
-    a[:, 1, 5] = -1j * g1 * np.conj(c1s)
-    a[:, 2, 2] = k2 + 1j * (d2 - omegas)
-    a[:, 2, 4] = -1j * g2 * c2s
-    a[:, 3, 3] = k2 - 1j * (d2 + omegas)
-    a[:, 3, 5] = 1j * g2 * np.conj(c2s)
-    for row, phicol in ((4, 4), (5, 5)):
-        a[:, row, 0] = hg1 * np.conj(c1s)
-        a[:, row, 1] = hg1 * c1s
-        a[:, row, 2] = -hg2 * np.conj(c2s)
-        a[:, row, 3] = -hg2 * c2s
-        a[:, row, phicol] = mech
-    return a, b
-
-
-def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarray:
-    """Vectorized c1+ over many probe detunings (same algorithm as the scalar path).
-
-    Raises SingularSystem naming the first offending detuning.
-    """
-    omegas = np.asarray(omegas, dtype=float)
-    a, b = _stacked_system(params, steady, omegas)
-    row_norm = np.max(np.abs(a), axis=2)
-    row_scale = np.exp2(-np.round(np.log2(np.where(row_norm > 0, row_norm, 1.0))))
-    a_s = a * row_scale[:, :, None]
-    col_norm = np.max(np.abs(a_s), axis=1)
-    col_scale = np.exp2(-np.round(np.log2(np.where(col_norm > 0, col_norm, 1.0))))
-    a_s = a_s * col_scale[:, None, :]
-    b_s = b * row_scale
-
-    sign, logdet = np.linalg.slogdet(a_s)
-    rownorms = np.max(np.abs(a_s), axis=2)
-    log_thresh = math.log(DET_THRESHOLD) + np.sum(np.log(np.where(rownorms > 0, rownorms, 1.0)), axis=1)
-    bad = (sign == 0) | (logdet < log_thresh)
-    if np.any(bad):
+    bad = np.abs(den) <= DET_THRESHOLD * (np.abs(mech) + np.abs(s1) + np.abs(s2))
+    if bad.any():
         i = int(np.argmax(bad))
         raise SingularSystem(
             f"sideband system singular at Omega = {omegas[i]:.6e} rad/s"
         )
 
-    y = np.linalg.solve(a_s, b_s[:, :, None])
-    resid = b_s[:, :, None] - a_s @ y
-    y = y + np.linalg.solve(a_s, resid)
-    u0 = y[:, 0, 0] * col_scale[:, 0]
-    return u0
+    phi_p = -hg1 * c1s.conjugate() * params.eps_p / (a1 * den)
+    return (params.eps_p - 1j * g1 * c1s * phi_p) / a1
 
 
 def transmission_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarray:
-    """Vectorized T(Omega) for spectrum sampling and grid searches."""
+    """Vectorized T(Omega): every T evaluation in the package goes through here."""
     c1p = c1_plus_many(params, steady, omegas)
     ts = np.abs(1.0 - 2.0 * params.kappa1 * c1p / params.eps_p) ** 2
-    n_gain = int(np.sum(ts > GAIN_FLOOR))
+    n_gain = int(np.count_nonzero(ts > GAIN_FLOOR))
     if n_gain:
         _log.info("probe gain regime at %d of %d detunings (max T = %.6e)",
                   n_gain, len(ts), float(ts.max()))

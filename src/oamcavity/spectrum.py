@@ -77,10 +77,6 @@ def sample_spectrum(
     )
 
 
-def _t_of_x(params: SystemParams, steady: SteadyState, x: float) -> float:
-    return transmission_at(params, steady, params.omega_phi * (1.0 + x))
-
-
 def _golden_min(f, a: float, b: float, tol: float) -> float:
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -134,7 +130,7 @@ def find_valley(
         x_lo = max(x_lo - half / 2.0, -MAX_ABS_X)
         x_hi = min(x_hi + half / 2.0, MAX_ABS_X)
 
-    f = lambda x: _t_of_x(params, steady, x)
+    f = lambda x: transmission_at(params, steady, params.omega_phi * (1.0 + x))
     x_star = _golden_min(f, float(xs[i - 1]), float(xs[i + 1]), X_TOL)
     t_min = f(x_star)
 
@@ -176,12 +172,14 @@ def linewidth(spectrum: Spectrum, valley: ValleyReport) -> float:
     DipTooShallow
         when T_min is within DEPTH_FLOOR of the baseline.
     """
-    xs = spectrum.xs
-    ts = spectrum.transmissions
+    return _half_depth_width(spectrum.xs, spectrum.transmissions, valley.x_star, valley.t_min)
+
+
+def _half_depth_width(xs: np.ndarray, ts: np.ndarray, x_star: float, t_min: float) -> float:
+    """`linewidth` on bare sample arrays (same baseline, crossings and errors)."""
     n = len(xs)
     k = max(1, int(round(0.05 * n)))
     baseline = float(np.median(np.concatenate([ts[:k], ts[-k:]])))
-    t_min = valley.t_min
     if not t_min < baseline - DEPTH_FLOOR:
         raise DipTooShallow(
             f"dip depth {baseline - t_min:.3e} below floor {DEPTH_FLOOR:g} "
@@ -189,21 +187,24 @@ def linewidth(spectrum: Spectrum, valley: ValleyReport) -> float:
         )
     half = 0.5 * (baseline + t_min)
 
-    i0 = int(np.argmin(np.abs(xs - valley.x_star)))
-
-    def cross(direction: int) -> float:
-        i = i0
-        while 0 <= i + direction < n:
-            j = i + direction
-            if (ts[i] - half) * (ts[j] - half) <= 0.0 and ts[i] != ts[j]:
-                frac = (half - ts[i]) / (ts[j] - ts[i])
-                return float(xs[i] + frac * (xs[j] - xs[i]))
-            i = j
+    i0 = int(np.argmin(np.abs(xs - x_star)))
+    # pair k = (k, k+1) holds a crossing when it straddles half and is not flat
+    straddles = ((ts[:-1] - half) * (ts[1:] - half) <= 0.0) & (ts[:-1] != ts[1:])
+    right = np.flatnonzero(straddles[i0:])
+    left = np.flatnonzero(straddles[:i0])
+    if not (len(right) and len(left)):
         raise ValueError(
             "half-depth crossing not inside the sampled window; widen the spectrum"
         )
 
-    return cross(+1) - cross(-1)
+    def cross(i: int, j: int) -> float:
+        # interpolate from the sample nearer the valley, i, towards j
+        frac = (half - ts[i]) / (ts[j] - ts[i])
+        return float(xs[i] + frac * (xs[j] - xs[i]))
+
+    hi = i0 + int(right[0])
+    lo = int(left[-1])
+    return cross(hi, hi + 1) - cross(lo + 1, lo)
 
 
 def _measure_fwhm(
@@ -220,10 +221,9 @@ def _measure_fwhm(
     the outer-sample baseline is trustworthy.
     """
     def attempt(width: float) -> float:
-        spec = sample_spectrum(
-            params, steady, valley.x_star - width, valley.x_star + width, n
-        )
-        return linewidth(spec, valley)
+        xs = np.linspace(valley.x_star - width, valley.x_star + width, n)
+        ts = transmission_many(params, steady, params.omega_phi * (1.0 + xs))
+        return _half_depth_width(xs, ts, valley.x_star, valley.t_min)
 
     width = max(64.0 * X_TOL, 1e-8)
     last_err: Exception | None = None

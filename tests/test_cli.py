@@ -387,6 +387,14 @@ def test_console_script_installed():
     assert proc.stdout.strip() == f"oamcavity {oamcavity.__version__}"
 
 
+def test_package_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    import oamcavity
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["version"] == oamcavity.__version__
+
+
 @pytest.mark.skipif(shutil.which("oamcavity") is None, reason="oamcavity console script not on PATH")
 def test_console_script_on_path():
     proc = subprocess.run(["oamcavity", "--version"], capture_output=True, text=True)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from oamcavity import (
     closed_form_c1p,
     default_config,
     derive_params,
+    load_config,
+    operating_point,
     sideband_response,
     solve_steady,
     transmission,
@@ -155,3 +158,16 @@ def test_rejects_non_finite_detuning(weak_dark):
     p, st = weak_dark
     with pytest.raises(ValueError):
         sideband_response(p, st, math.nan)
+    with pytest.raises(ValueError):
+        transmission_at(p, st, math.nan)
+
+
+def test_batch_matches_closed_form_through_deep_dip():
+    # the oracle config's dip is 0.78 deep; T there must keep the closed
+    # form's digits, not lose them to the conditioning of the 6x6 system
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "oracle_check.json"
+    p, st = operating_point(load_config(str(cfg)))
+    omegas = p.omega_phi * (1 + np.linspace(-1e-5, 1e-5, 2001))
+    ts = transmission_many(p, st, omegas)
+    ref = np.array([transmission(p, closed_form_c1p(p, st, om)) for om in omegas])
+    assert np.max(np.abs(ts - ref) / ref) <= 1e-12

@@ -72,6 +72,50 @@ def test_linewidth_rejects_shallow_dip():
         linewidth(spec, valley)
 
 
+def _walked_linewidth(xs, ts, x_star, t_min):
+    """Reference: walk outward from the valley sample to the first crossing."""
+    k = max(1, int(round(0.05 * len(xs))))
+    half = 0.5 * (float(np.median(np.concatenate([ts[:k], ts[-k:]]))) + t_min)
+    i0 = int(np.argmin(np.abs(xs - x_star)))
+
+    def cross(direction):
+        i = i0
+        while 0 <= i + direction < len(xs):
+            j = i + direction
+            if (ts[i] - half) * (ts[j] - half) <= 0.0 and ts[i] != ts[j]:
+                return float(xs[i] + (half - ts[i]) / (ts[j] - ts[i]) * (xs[j] - xs[i]))
+            i = j
+        raise ValueError("no crossing")
+
+    return cross(+1) - cross(-1)
+
+
+def test_linewidth_crossings_match_walked_reference():
+    rng = np.random.default_rng(7)
+    xs = np.linspace(-1.0, 1.0, 401)
+    fano = 1.0 - 0.9 / (1.0 + ((xs - 0.1) / 0.05) ** 2) + 0.2 * xs / (1.0 + (xs / 0.3) ** 2)
+    side_dips = sum(0.8 / (1.0 + ((xs - c) / 0.05) ** 2) for c in (-0.6, 0.6))
+    noisy = fano - side_dips + 0.02 * rng.standard_normal(len(xs))  # several crossings per side
+    plateau = np.where(np.abs(xs) < 0.3, 0.5, 1.0)  # flat exactly on half depth
+    one_sided = np.where(xs < 0.5, 0.0, 1.0)
+    cases = [(fano, 0.1, fano.min()), (noisy, 0.1, noisy.min()), (plateau, 0.0, 0.0),
+             (one_sided, 0.0, 0.0)]
+    cases += [(r, 0.0, r.min()) for r in 1.0 - np.abs(rng.standard_normal((20, len(xs))))]
+    for ts, x_star, t_min in cases:
+        spec = Spectrum(points=tuple(TransmissionPoint(omega=float(x), x=float(x), transmission=float(t))
+                                     for x, t in zip(xs, ts)),
+                        params_fingerprint="synthetic", branch_tag="selected")
+        valley = ValleyReport(x_star=x_star, t_min=float(t_min), curvature_sign_ok=True, fwhm=None,
+                              window=(-1.0, 1.0))
+        try:
+            want = _walked_linewidth(xs, ts, x_star, float(t_min))
+        except ValueError:
+            with pytest.raises(ValueError):
+                linewidth(spec, valley)
+            continue
+        assert linewidth(spec, valley) == want
+
+
 def test_weak_drive_valley_placement_and_depth(weak_dark):
     p, st = weak_dark
     v = find_valley(p, st)
