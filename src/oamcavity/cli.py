@@ -30,9 +30,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 
 from . import __version__
@@ -210,9 +208,8 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(task):
+def _sweep_point(config, axis, value, observable):
     """One sweep evaluation; returns (axis_value, observable_value, valid)."""
-    config, axis, value, observable = task
     if axis == "drive2-power":
         cfg = dataclasses.replace(config, drive2_power=float(value))
     elif axis == "detuning2":
@@ -252,12 +249,7 @@ def cmd_sweep(args) -> int:
         values = [
             args.start + k * (args.stop - args.start) / max(args.n - 1, 1) for k in range(args.n)
         ]
-    tasks = [(config, args.axis, v, args.observable) for v in values]
-    if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
+    rows = [_sweep_point(config, args.axis, v, args.observable) for v in values]
     header = {"x-star": "x_star", "resonance-transmission": "T", "detuning": "delta1_normalized",
               "shift-distance": "d"}[args.observable]
     axis_col = args.axis.replace("-", "_")
@@ -344,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--l-min", type=int, required=True)
     cp.add_argument("--l-max", type=int, required=True)
     cp.add_argument("--out", required=True)
-    cp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    cp.add_argument("--jobs", type=int, default=1, help="accepted; work runs serially")
     cp.set_defaults(func=cmd_calibrate)
 
     ep = sub.add_parser("estimate", help="invert a measured valley position")
@@ -366,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["x-star", "resonance-transmission", "detuning", "shift-distance"],
     )
     wp.add_argument("--out", required=True)
-    wp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    wp.add_argument("--jobs", type=int, default=1, help="accepted; work runs serially")
     wp.set_defaults(func=cmd_sweep)
 
     vp = sub.add_parser("validate", help="oracle vs linearized-response comparison")

@@ -27,7 +27,9 @@ class NoConvergence(OamCavityError):
     Attributes
     ----------
     window : (float, float)
-        The bracket-scan window in radians that was searched.
+        Smallest and largest angle in radians among the polished real roots
+        of the fixed-point polynomial, none of which met the residual
+        tolerance.
     """
 
     def __init__(self, message, window=None):

@@ -10,7 +10,6 @@ fingerprint of every physical input except l1 itself.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -59,18 +58,18 @@ class OamEstimate:
     ambiguous_with: tuple[int, ...]
 
 
-def _entry_for_charge(args) -> tuple[int, CalibrationEntry | None, str | None]:
-    params_template, charge, window = args
+def _entry_for_charge(params_template, charge, window) -> CalibrationEntry | str:
+    """The calibration entry of one charge, or the reason it failed."""
     try:
         params, steady = operating_point(replace(params_template.config, charge_l1=charge))
         valley = find_valley(params, steady, window)
     except Multistable:
-        return charge, None, "multistable"
+        return "multistable"
     except NoInteriorMinimum:
-        return charge, None, "no-interior-minimum"
+        return "no-interior-minimum"
     except (NoConvergence, SingularSystem) as err:
-        return charge, None, type(err).__name__
-    return charge, CalibrationEntry(charge=charge, x_star=valley.x_star, fwhm=valley.fwhm), None
+        return type(err).__name__
+    return CalibrationEntry(charge=charge, x_star=valley.x_star, fwhm=valley.fwhm)
 
 
 def build_calibration(
@@ -83,8 +82,8 @@ def build_calibration(
     """Valley position per integer charge in [l_min, l_max], plus a linear fit.
 
     Per-charge failures are recorded and excluded; more than 10% failures
-    aborts with CalibrationError.  Charges are solved independently (in
-    parallel when jobs > 1) and assembled in charge order.
+    aborts with CalibrationError.  Charges are solved one after another in
+    charge order; `jobs` is accepted and ignored.
     """
     if not (isinstance(l_min, int) and isinstance(l_max, int)):
         raise ValueError("charge bounds must be integers")
@@ -92,18 +91,12 @@ def build_calibration(
         raise ValueError(f"need l_min <= l_max, got [{l_min}, {l_max}]")
 
     charges = list(range(l_min, l_max + 1))
-    tasks = [(params_template, c, window) for c in charges]
-    if jobs > 1 and len(charges) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_entry_for_charge, tasks))
-    else:
-        results = [_entry_for_charge(t) for t in tasks]
-
     entries = []
     failures = []
-    for charge, entry, reason in results:
-        if entry is None:
-            failures.append((charge, reason))
+    for charge in charges:
+        entry = _entry_for_charge(params_template, charge, window)
+        if isinstance(entry, str):
+            failures.append((charge, entry))
         else:
             entries.append(entry)
     if len(failures) > MAX_FAILURE_FRACTION * len(charges):
@@ -112,7 +105,6 @@ def build_calibration(
             f"(first failures: {failures[:5]})"
         )
 
-    entries.sort(key=lambda e: e.charge)
     xs = [e.x_star for e in entries]
     ls = [e.charge for e in entries]
     monotone = len(entries) >= 2 and (

@@ -6,16 +6,17 @@ The mirror's static angle obeys the fixed-point relation
 
 with N_i the intracavity photon numbers at the effective detunings
 Delta_1 = Delta_c1 + g1*phi_s and Delta_2 = Delta_c2 - g2*phi_s.  The
-Kerr-type feedback through N1 can make this multivalued; all roots are
-reported and the physical branch is chosen by continuation in drive power.
+Kerr-type feedback through N1 can make this multivalued.  Cleared of its
+denominators the relation is a polynomial; all its real roots are reported
+and the physical branch is chosen by continuation in drive power.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .errors import Multistable, NoConvergence
 from .params import SystemConfig, SystemParams, derive_params
@@ -23,7 +24,8 @@ from .params import SystemConfig, SystemParams, derive_params
 #: residual tolerance: |residual| <= TOL_REL * max(|phi_s|, PHI_FLOOR)
 TOL_REL = 1e-6
 PHI_FLOOR = 1e-18
-_SCAN_POINTS = 4097
+#: a polynomial root z counts as real when |Im z| <= _IMAG_TOL*|z|
+_IMAG_TOL = 1e-6
 _POWER_STEPS = 16
 
 
@@ -79,8 +81,8 @@ def _photon_numbers(params: SystemParams, phi: float, scale: float = 1.0) -> tup
 def steady_residual(phi: float, params: SystemParams, _scale: float = 1.0) -> float:
     """Fixed-point defect phi - hbar*(-g1*N1(phi) + g2*N2(phi))/(I*omega_phi^2).
 
-    Exposed for testing and root bracketing (phi may be the scan grid array);
-    zero at any self-consistent root.
+    Exposed for testing (phi may be an array); zero at any self-consistent
+    root.
     """
     n1, n2, _, _ = _photon_numbers(params, phi, _scale)
     rhs = params.hbar * (-params.g1 * n1 + params.g2 * n2) / (params.inertia * params.omega_phi**2)
@@ -123,98 +125,91 @@ def _state_at(params: SystemParams, phi: float, branch_tag: str) -> SteadyState:
     )
 
 
-def _find_roots(params: SystemParams, scale: float) -> list[float]:
-    """All fixed points at drive power fraction `scale`: bracket scan + bisection + Newton."""
-    amp = 4.0 * params.hbar * (
-        abs(params.g1) * scale * params.eps1**2 / params.kappa1**2
-        + abs(params.g2) * scale * params.eps2**2 / params.kappa2**2
-    ) / (params.inertia * params.omega_phi**2)
-    if amp == 0.0:
+def _polynomial_roots(params: SystemParams, scale: float) -> list[float]:
+    """phi at each real root of the fixed point cleared of its denominators.
+
+    With K = I*omega_phi^2, L_i = kappa_i^2 + Delta_i^2 and p_i the drive
+    term hbar*g_i*eps_i^2/K, the fixed point is phi*L1*L2 + p1*L2 - p2*L1 = 0,
+    solved in z = g*phi/omega_phi with g = g1 (g2 when g1 = 0).  L2 is
+    constant for an effective detuning-2 spec, which leaves a cubic whose
+    coefficients hold g1 only as g1^2 and g1*g2, so l1 -> -l1 flips phi
+    exactly when drive 2 is dark; a bare spec gives at most a quintic.  A
+    vanishing p_i takes its L_i (never zero) along.
+    """
+    w = params.omega_phi
+    pull1 = params.hbar * scale * params.g1 * params.eps1**2 / (params.inertia * w**2)
+    pull2 = params.hbar * scale * params.g2 * params.eps2**2 / (params.inertia * w**2)
+    if pull1 == 0.0 and pull2 == 0.0:
         return [0.0]
+    g = params.g1 or params.g2
+    sigma = w / g  # phi = sigma*z
+    slope2 = -params.g2 / g if params.detuning2.mode == "bare" else 0.0
 
-    # mirror-symmetric grid: grid[i] == -grid[n-1-i] bitwise, so the whole
-    # solve commutes exactly with the l1 -> -l1 sign flip
-    half = (_SCAN_POINTS - 1) // 2
-    step = amp / half
-    pos = np.arange(1, half + 1) * step
-    grid = np.concatenate([-pos[::-1], [0.0], pos])
-    vals = steady_residual(grid, params, scale)
+    def lorentzian(kappa, detuning, slope, pull):  # L/omega_phi^2 as a polynomial in z
+        if pull == 0.0:
+            return np.ones(1)
+        return np.array([(kappa / w) ** 2 + (detuning / w) ** 2, 2.0 * (detuning / w) * slope, slope**2])
 
-    roots: list[float] = []
-    sign_change = np.where(vals[:-1] * vals[1:] < 0.0)[0]
-    roots.extend(float(g) for g in grid[vals == 0.0])
-    for i in sign_change:
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa = float(vals[i])
-        # bisection to 1e-14 relative
-        while (b - a) > 1e-14 * max(abs(a), abs(b), PHI_FLOOR):
-            m = 0.5 * (a + b)
-            fm = steady_residual(m, params, scale)
-            if fm == 0.0:
-                a = b = m
-                break
-            if fa * fm < 0.0:
-                b = m
-            else:
-                a, fa = m, fm
-        root = 0.5 * (a + b)
-        # one Newton polish
+    l1 = lorentzian(params.kappa1, params.detuning1, params.g1 / g, pull1)
+    l2 = lorentzian(params.kappa2, params.detuning2.value, slope2, pull2)
+    drive = P.polysub(pull1 * l2, pull2 * l1) / (sigma * w**2)
+    roots = P.polyroots(P.polyadd(P.polymul([0.0, 1.0], P.polymul(l1, l2)), drive))
+    return [sigma * float(z.real) for z in roots if abs(z.imag) <= _IMAG_TOL * abs(z)]
+
+
+def _find_roots(params: SystemParams, scale: float) -> list[float]:
+    """All fixed points at drive power fraction `scale`, ascending.
+
+    Each real polynomial root gets one Newton polish on steady_residual and
+    counts when its residual then meets TOL_REL; near-identical roots merge.
+
+    Raises
+    ------
+    NoConvergence
+        if no polished root meets the residual tolerance.
+    """
+    polished = []
+    for root in _polynomial_roots(params, scale):
         deriv = _residual_derivative(root, params, scale)
-        if deriv != 0.0:
-            root -= steady_residual(root, params, scale) / deriv
-        roots.append(root)
-    # deduplicate near-identical roots
-    roots.sort()
-    dedup: list[float] = []
-    for r in roots:
-        if not dedup or abs(r - dedup[-1]) > 1e-9 * max(abs(r), PHI_FLOOR):
-            dedup.append(r)
-    return dedup
+        polished.append(root - steady_residual(root, params, scale) / deriv if deriv != 0.0 else root)
+    roots: list[float] = []
+    for r in sorted(polished):
+        meets = abs(steady_residual(r, params, scale)) <= TOL_REL * max(abs(r), PHI_FLOOR)
+        if meets and (not roots or abs(r - roots[-1]) > 1e-9 * max(abs(r), PHI_FLOOR)):
+            roots.append(r)
+    if not roots:
+        raise NoConvergence(
+            f"no polynomial root met the residual tolerance at power fraction {scale:g}",
+            window=(min(polished), max(polished)),
+        )
+    return roots
 
 
 def solve_steady(params: SystemParams) -> SteadySolveReport:
     """Solve the steady state, report all coexisting roots, flag multistability.
 
     The selected root is the one continuously connected to phi_s = 0 at zero
-    drive power: the drive powers are ramped from ~0 to full in geometric
-    steps and the nearest root is tracked at each step.
+    drive power: a lone root, or else the root tracked nearest-first while
+    the drive powers ramp from ~0 to full in geometric steps.
 
     Raises
     ------
     NoConvergence
-        if no root satisfies the residual tolerance (reports scan window).
+        if no root meets the residual tolerance at some drive power fraction.
     """
-    # continuation in total drive power, 16 geometric steps ending at 1
-    scales = [2.0 ** (k - (_POWER_STEPS - 1)) for k in range(_POWER_STEPS)]
-    tracked = 0.0
-    roots: list[float] = [0.0]
-    for s in scales:
-        roots = _find_roots(params, s)
-        if not roots:
-            raise NoConvergence(
-                f"bracket scan found no sign change at power fraction {s:g}",
-                window=(-1.0, 1.0),
-            )
+    roots = _find_roots(params, 1.0)
+    tracked = roots[0]
+    if len(roots) > 1:  # continuation in total drive power, geometric steps ending at 1
+        tracked = 0.0
+        for k in range(1 - _POWER_STEPS, 0):
+            tracked = min(_find_roots(params, 2.0**k), key=lambda r: abs(r - tracked))
         tracked = min(roots, key=lambda r: abs(r - tracked))
 
-    states = []
-    for r in roots:
-        tag = "selected" if r == tracked else "alternative"
-        states.append(_state_at(params, r, tag))
-    states.sort(key=lambda st: st.phi)
-
-    bad = [st for st in states if abs(st.residual) > TOL_REL * max(abs(st.phi), PHI_FLOOR)]
-    if bad:
-        raise NoConvergence(
-            f"{len(bad)} root(s) exceeded the residual tolerance "
-            f"(worst |residual| = {max(abs(st.residual) for st in bad):.3e})",
-            window=(min(st.phi for st in states), max(st.phi for st in states)),
-        )
-
+    states = tuple(_state_at(params, r, "selected" if r == tracked else "alternative") for r in roots)
     selected = next(st for st in states if st.branch_tag == "selected")
     return SteadySolveReport(
         selected=selected,
-        all_roots=tuple(states),
+        all_roots=states,
         multistable=len(states) > 1,
     )
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from oamcavity import (
     Multistable,
@@ -13,6 +15,7 @@ from oamcavity import (
     solve_steady,
     steady_residual,
 )
+from oamcavity.params import Detuning2Spec
 from oamcavity.steady import TOL_REL, PHI_FLOOR
 
 
@@ -162,3 +165,62 @@ def test_bare_detuning_tracks_effective_spec(weak_bright):
     p, st = weak_bright
     _, dc2 = bare_detunings(p, st)
     assert dc2 == pytest.approx(p.g2 * st.phi, rel=1e-12)  # effective Delta_2 = 0
+
+
+def test_close_root_pair_beside_selected_root_is_reported():
+    # the two extra roots lie 2.8e-8 rad apart, closer than a 4097-point
+    # scan over the photon-number bound resolves
+    p = derive_params(default_config(
+        drive1_power=0.03291933208475069, drive2_power=0.0, charge_l1=55, finesse1=294901.6183194356,
+    ))
+    rep = solve_steady(p)
+    assert rep.multistable
+    phis = [st.phi for st in rep.all_roots]
+    assert len(phis) == 3
+    assert phis[0] == pytest.approx(-1.906694e-5, rel=1e-6)
+    assert phis[1] == pytest.approx(-1.903883e-5, rel=1e-6)
+    assert rep.selected.phi == phis[2] == pytest.approx(-5.026331e-10, rel=1e-6)
+    for st in rep.all_roots:
+        assert abs(st.residual) <= TOL_REL * max(abs(st.phi), PHI_FLOOR)
+
+
+OMEGA_PHI = default_config().rotation_frequency
+
+
+@given(
+    bare=hst.booleans(),
+    log_p1=hst.floats(min_value=-8.0, max_value=0.0),
+    p2=hst.one_of(hst.just(0.0), hst.floats(min_value=0.0, max_value=0.3)),
+    l1=hst.one_of(hst.just(0), hst.integers(min_value=-60, max_value=60)),
+    l2=hst.one_of(hst.just(0), hst.integers(min_value=-100, max_value=100)),
+    finesse1=hst.floats(min_value=1e4, max_value=3e5),
+    d1=hst.floats(min_value=-2.0, max_value=2.0),
+    d2=hst.floats(min_value=-2.0, max_value=2.0),
+)
+@example(bare=False, log_p1=-1.0, p2=0.1, l1=0, l2=100, finesse1=5e4, d1=1.0, d2=0.0)
+@example(bare=True, log_p1=-1.0, p2=0.1, l1=0, l2=100, finesse1=5e4, d1=1.0, d2=0.5)
+@example(bare=True, log_p1=-1.0, p2=0.1, l1=50, l2=0, finesse1=5e4, d1=1.0, d2=0.5)
+@example(bare=True, log_p1=-0.4, p2=0.0, l1=50, l2=100, finesse1=5e4, d1=1.0, d2=0.5)
+@example(bare=False, log_p1=-0.4, p2=0.0, l1=50, l2=100, finesse1=5e4, d1=1.0, d2=0.0)
+@settings(deadline=None, max_examples=150)
+def test_reported_roots_are_complete(bare, log_p1, p2, l1, l2, finesse1, d1, d2):
+    p = derive_params(default_config(
+        drive1_power=10.0**log_p1, drive2_power=p2, charge_l1=l1, charge_l2=l2, finesse1=finesse1,
+        detuning1=d1 * OMEGA_PHI, detuning2=Detuning2Spec("bare" if bare else "effective", d2 * OMEGA_PHI),
+    ))
+    roots = [st.phi for st in solve_steady(p).all_roots]
+    for phi in roots:
+        assert abs(steady_residual(phi, p)) <= TOL_REL * max(abs(phi), PHI_FLOOR)
+    # every root lies within a quarter of this window: |phi| <= hbar*sum|g_i|*N_i,max/K
+    amp = 4 * p.hbar * (
+        abs(p.g1) * p.eps1**2 / p.kappa1**2 + abs(p.g2) * p.eps2**2 / p.kappa2**2
+    ) / (p.inertia * p.omega_phi**2)
+    if amp == 0.0:
+        assert roots == [0.0]
+        return
+    grid = np.linspace(-amp, amp, 2**16 + 1)
+    res = steady_residual(grid, p)
+    slack = 1e-12 * amp
+    for i in np.flatnonzero(res[:-1] * res[1:] < 0.0):
+        lo, hi = grid[i] - slack, grid[i + 1] + slack
+        assert any(lo <= phi <= hi for phi in roots), f"unreported sign change in [{grid[i]:.6e}, {grid[i + 1]:.6e}]"
