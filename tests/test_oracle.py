@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from oamcavity import (
     demodulate,
     derive_params,
     integrate_mean_field,
+    load_config,
+    operating_point,
     solve_steady,
     transmission_at,
     transmission_oracle,
@@ -226,3 +232,111 @@ def test_transmission_oracle_distinguishes_charge_sign():
         assert abs(t_o - t_a) <= 1e-3
         results[l1] = t_o
     assert abs(results[50] - results[-50]) > 0.05
+
+
+def _oracle_check_setting():
+    """`oracle_check.json` at Q = 2e3 with the criterion-7 start and probe scale."""
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "oracle_check.json"))
+    p, st = operating_point(dataclasses.replace(cfg, quality_factor=2e3))
+    start = (st.c1, st.c2, st.phi, 0.0)
+    return p, bare_detunings(p, st), start, 1e-3 * p.eps1 / p.eps_p
+
+
+def test_stepper_takes_the_steps_of_scipy_rk45():
+    """Same step sequence as scipy's RK45 on the same equations and tolerances.
+
+    The reference right-hand side is written out here from the model
+    equations.  Step counts and RHS calls must match exactly; times and
+    states differ only by rounding that the step control carries along, so
+    they are held to 1e-9 (times relative, states against each amplitude's
+    natural scale: |c1|, |c2|, |phi| and omega_phi * |phi|).
+    """
+    from scipy.integrate import solve_ivp
+
+    p, bare, start, probe_scale = _oracle_check_setting()
+    t_end = 0.25 / p.gamma_phi  # about 2000 steps
+    omega = p.omega_phi
+    traj = integrate_mean_field(p, bare, start, t_end, omega, eps_p_scale=probe_scale)
+
+    dc1, dc2 = bare
+    ep = probe_scale * p.eps_p
+
+    def rhs(t, y):
+        c1 = y[0] + 1j * y[1]
+        c2 = y[2] + 1j * y[3]
+        phi, phid = y[4], y[5]
+        dc1_dt = -(p.kappa1 + 1j * (dc1 + p.g1 * phi)) * c1 + p.eps1 + ep * np.exp(-1j * omega * t)
+        dc2_dt = -(p.kappa2 + 1j * (dc2 - p.g2 * phi)) * c2 + p.eps2
+        torque = p.hbar / p.inertia * (p.g1 * abs(c1) ** 2 - p.g2 * abs(c2) ** 2)
+        ddphi = -p.gamma_phi * phid - p.omega_phi**2 * phi - torque
+        return [dc1_dt.real, dc1_dt.imag, dc2_dt.real, dc2_dt.imag, phid, ddphi]
+
+    y0 = [start[0].real, start[0].imag, start[1].real, start[1].imag, start[2], start[3]]
+    ref = solve_ivp(rhs, (0.0, t_end), y0, method="RK45",
+                    rtol=traj.stats["rtol"], atol=traj.stats["atol"])
+    assert ref.success
+    assert 1500 <= traj.stats["steps"] <= 2500
+    assert traj.stats["steps"] == len(ref.t) - 1
+    assert traj.stats["nfev"] == ref.nfev
+    np.testing.assert_allclose(traj.times, ref.t, rtol=1e-9, atol=0.0)
+
+    c1_ref = ref.y[0] + 1j * ref.y[1]
+    c2_ref = ref.y[2] + 1j * ref.y[3]
+    phi_scale = np.max(np.abs(ref.y[4]))
+    for got, want, scale in (
+        (traj.c1, c1_ref, np.max(np.abs(c1_ref))),
+        (traj.c2, c2_ref, np.max(np.abs(c2_ref))),
+        (traj.phi, ref.y[4], phi_scale),
+        (traj.phi_dot, ref.y[5], p.omega_phi * phi_scale),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-9 * scale
+
+
+def test_stats_count_every_rhs_call():
+    p, bare, start, probe_scale = _oracle_check_setting()
+    traj = integrate_mean_field(p, bare, start, 0.25 / p.gamma_phi, p.omega_phi,
+                                eps_p_scale=probe_scale)
+    stats = traj.stats
+    assert stats["rejected_steps"] > 0
+    assert stats["steps"] == len(traj.times) - 1
+    # two calls pick the first step, then six per attempted step (FSAL)
+    assert stats["nfev"] == 2 + 6 * (stats["steps"] + stats["rejected_steps"])
+
+
+@pytest.mark.parametrize("index, value", [(0, complex(math.nan, 0.0)), (2, math.inf)])
+def test_non_finite_initial_state_raises(index, value):
+    p = derive_params(default_config(drive1_power=1e-6, drive2_power=0.0, probe_power=0.0))
+    start = [0j, 0j, 0.0, 0.0]
+    start[index] = value
+    with pytest.raises(ValueError, match="finite"):
+        integrate_mean_field(p, (p.detuning1, 0.0), tuple(start), 1e-7, p.omega_phi)
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1e-6])
+def test_non_positive_t_end_raises(t_end):
+    p = derive_params(default_config(drive1_power=1e-6, drive2_power=0.0, probe_power=0.0))
+    with pytest.raises(ValueError, match="t_end"):
+        integrate_mean_field(p, (p.detuning1, 0.0), None, t_end, p.omega_phi)
+
+
+def test_tol_below_100_eps_is_clipped_with_warning():
+    p = derive_params(default_config(drive1_power=1e-6, drive2_power=0.0, probe_power=0.0))
+    with pytest.warns(UserWarning, match="machine epsilon"):
+        traj = integrate_mean_field(p, (p.detuning1, 0.0), None, 1e-9, p.omega_phi, tol=1e-20)
+    assert traj.stats["rtol"] == 100 * np.finfo(float).eps
+
+
+def test_import_loads_no_scipy():
+    """Only `demodulate` needs scipy; importing the package and its CLI must not load it."""
+    import oamcavity
+
+    env = dict(os.environ)
+    package_root = str(Path(oamcavity.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, oamcavity, oamcavity.cli\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert 'scipy' not in sys.modules, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
