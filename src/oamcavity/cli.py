@@ -33,6 +33,8 @@ import math
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     ConfigError,
@@ -62,26 +64,20 @@ EXIT_CONFIG = ConfigError.exit_code
 EXIT_MULTISTABLE = Multistable.exit_code
 EXIT_NUMERIC = OamCavityError.exit_code
 
-_FLOAT_FMT = "%.16e"  # 17 significant digits, round-trippable doubles
+def _write_csv(path, header: list[str], columns) -> None:
+    """Write equal-length columns (numpy arrays or sequences) under `header`.
 
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        return _FLOAT_FMT % value
-    return str(value)
-
-
-def _write_csv(path, header: list[str], rows) -> None:
+    A column whose values (after ``tolist()`` for an array) are all ints or
+    bools is written as ``%d``, bools as 0/1; any other as ``%.16e``, 17
+    significant digits, round-trippable.  The body is one ``%`` pass.
+    """
+    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    row = ",".join("%d" if all(isinstance(v, int) for v in c) else "%.16e" for c in columns) + "\n"
+    values = [None] * sum(len(c) for c in columns)
+    for i, c in enumerate(columns):
+        values[i :: len(columns)] = c
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(header) + "\n" + row * len(columns[0]) % tuple(values))
 
 
 def _write_manifest(out_path, subcommand: str, flags: dict, config) -> None:
@@ -124,14 +120,14 @@ def _steady_or_exit(params, branch: int | None):
 
 
 def cmd_spectrum(args) -> int:
-    config = load_config(args.config)
-    params = derive_params(config)
-    steady = _steady_or_exit(params, args.branch)
     if args.n < 3 or not args.x_lo < args.x_hi:
         print("need x_lo < x_hi and n >= 3", file=sys.stderr)
         return EXIT_CONFIG
+    config = load_config(args.config)
+    params = derive_params(config)
+    steady = _steady_or_exit(params, args.branch)
     spec = sample_spectrum(params, steady, args.x_lo, args.x_hi, args.n)
-    _write_csv(args.out, ["x", "T"], [(p.x, p.transmission) for p in spec.points])
+    _write_csv(args.out, ["x", "T"], [spec.xs, spec.transmissions])
     flags = {"x_lo": args.x_lo, "x_hi": args.x_hi, "n": args.n, "branch": args.branch}
     _write_manifest(args.out, "spectrum", flags, config)
     if args.valley_out:
@@ -165,7 +161,7 @@ def cmd_calibrate(args) -> int:
     _write_csv(
         str(args.out) + ".csv",
         ["l1", "x_star", "fwhm"],
-        [(e.charge, e.x_star, e.fwhm if e.fwhm is not None else float("nan")) for e in curve.entries],
+        zip(*[(e.charge, e.x_star, e.fwhm if e.fwhm is not None else float("nan")) for e in curve.entries]),
     )
     flags = {"l_min": args.l_min, "l_max": args.l_max, "jobs": args.jobs}
     _write_manifest(args.out, "calibrate", flags, config)
@@ -258,7 +254,7 @@ def cmd_sweep(args) -> int:
         omega_phi = config.rotation_frequency
         rows = [(v / omega_phi, d, ok) for v, d, ok in rows]
         axis_col = "d2_over_omega"
-    _write_csv(args.out, [axis_col, header, "valid"], rows)
+    _write_csv(args.out, [axis_col, header, "valid"], zip(*rows))
     flags = {
         "axis": args.axis,
         "start": args.start,

@@ -27,19 +27,37 @@ DEPTH_FLOOR = 1e-3
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Spectrum:
-    points: tuple[TransmissionPoint, ...]
+    """A sampled transmission spectrum held as equal-length, read-only float arrays.
+
+    Built from arrays (copied) or, with ``points=``, from a sequence of
+    `TransmissionPoint`; `points` gives that per-sample view back.
+    """
+
+    omegas: np.ndarray  # probe-drive detunings Omega [rad/s]
+    xs: np.ndarray
+    transmissions: np.ndarray
     params_fingerprint: str
     branch_tag: str
 
-    @property
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points])
+    def __init__(self, points=None, *, params_fingerprint: str, branch_tag: str,
+                 omegas=None, xs=None, transmissions=None):
+        if points is not None:
+            rows = [(p.omega, p.x, p.transmission) for p in points]
+            omegas, xs, transmissions = np.array(rows).reshape(-1, 3).T
+        for name, values in (("omegas", omegas), ("xs", xs), ("transmissions", transmissions)):
+            arr = np.array(values, dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "params_fingerprint", params_fingerprint)
+        object.__setattr__(self, "branch_tag", branch_tag)
 
     @property
-    def transmissions(self) -> np.ndarray:
-        return np.array([p.transmission for p in self.points])
+    def points(self) -> tuple[TransmissionPoint, ...]:
+        return tuple(
+            map(TransmissionPoint, self.omegas.tolist(), self.xs.tolist(), self.transmissions.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -58,20 +76,21 @@ def sample_spectrum(
     x_hi: float,
     n: int,
 ) -> Spectrum:
-    """n uniform transmission samples of T(Omega = omega_phi*(1+x)) on [x_lo, x_hi]."""
+    """n uniform transmission samples of T(Omega = omega_phi*(1+x)) on [x_lo, x_hi].
+
+    The spectrum holds the sample grid, its probe detunings and the
+    kernel's transmissions as arrays.
+    """
     if not x_lo < x_hi:
         raise ValueError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
     if n < 3:
         raise ValueError(f"need at least 3 samples, got {n}")
     xs = np.linspace(x_lo, x_hi, n)
     omegas = params.omega_phi * (1.0 + xs)
-    ts = transmission_many(params, steady, omegas)
-    pts = tuple(
-        TransmissionPoint(omega=float(om), x=float(x), transmission=float(t))
-        for om, x, t in zip(omegas, xs, ts)
-    )
     return Spectrum(
-        points=pts,
+        omegas=omegas,
+        xs=xs,
+        transmissions=transmission_many(params, steady, omegas),
         params_fingerprint=fingerprint(params.config),
         branch_tag=steady.branch_tag,
     )

@@ -218,6 +218,7 @@ def test_criterion_6_single_cavity_sign_blindness():
     assert ok, f"calibration with drive 2 dark is not even in l1: defect {worst:.3e}"
 
 
+@pytest.mark.slow
 def test_criterion_7_oracle_equivalence(oracle_equivalence):
     devs = [row["rel_dev"] for row in oracle_equivalence["sideband"]]
     relax = oracle_equivalence["relax_dev"]

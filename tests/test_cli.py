@@ -8,13 +8,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oamcavity
-from oamcavity import NoInteriorMinimum, derive_params, find_valley, load_config, solve_steady
-from oamcavity.cli import main
+from oamcavity import (
+    NoInteriorMinimum,
+    derive_params,
+    find_valley,
+    load_config,
+    sample_spectrum,
+    solve_steady,
+)
+from oamcavity.cli import _write_csv, main
+from oamcavity.spectrum import DEFAULT_WINDOW
 
-BISTABLE_DEMO = str(Path(__file__).resolve().parents[1] / "configs" / "bistable_demo.json")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+BISTABLE_DEMO = str(CONFIGS / "bistable_demo.json")
 
 BASE = {
     "mirror_radius_m": 1e-5,
@@ -65,6 +75,63 @@ def test_spectrum_rejects_bad_range(tmp_path, config_path):
     out = tmp_path / "spec.csv"
     assert main(["spectrum", "--config", config_path, "--x-lo", "0.1", "--x-hi", "-0.1",
                  "-n", "3", "--out", str(out)]) == 2
+
+
+def test_spectrum_range_checked_before_solving(tmp_path, capsys):
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--config", BISTABLE_DEMO, "--x-lo=0.1", "--x-hi=-0.1",
+                 "-n", "2", "--out", str(out)]) == 2
+    assert "roots" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_csv_round_trips_sample_spectrum(tmp_path):
+    cfg = str(CONFIGS / "oracle_check.json")
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--config", cfg, "-n", "4001", "--out", str(out)]) == 0
+    params = derive_params(load_config(cfg))
+    spec = sample_spectrum(params, solve_steady(params).selected, *DEFAULT_WINDOW, 4001)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x,T"
+    rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
+    assert rows == list(zip(spec.xs.tolist(), spec.transmissions.tolist()))
+
+
+def _row_by_row_csv(header, rows) -> str:
+    """The per-value writer that the column writer replaced, kept as the reference."""
+    def fmt(value):
+        if isinstance(value, bool):
+            return "1" if value else "0"
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            if math.isnan(value):
+                return "nan"
+            return "%.16e" % value
+        return str(value)
+
+    return "".join(",".join(fmt(v) for v in row) + "\n" for row in [header, *rows])
+
+
+def test_write_csv_matches_row_by_row_reference(tmp_path):
+    floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
+              0.1, -2.5e-7, 1.0]
+    ints = [-45, -1, 0, 1, 7, 45, -(2**40), 2**40, 3]
+    bools = [True, False, True, True, False, False, True, False, True]
+    header = ["a", "b", "c", "d"]
+    python = [floats, ints, bools, floats[::-1]]
+    tables = {
+        "lists": python,
+        "arrays": [np.array(c) for c in python],
+        "mixed": [np.array(floats), tuple(ints), np.array(bools), floats[::-1]],
+        "one-row": [np.array(floats[:1]), ints[:1], np.array(bools[:1]), [floats[-1]]],
+    }
+    for name, columns in tables.items():
+        out = tmp_path / f"{name}.csv"
+        _write_csv(out, header, columns)
+        n = len(columns[0])
+        want = _row_by_row_csv(header, list(zip(*(c[:n] for c in python))))
+        assert out.read_bytes() == want.encode(), name
 
 
 def test_invalid_key_names_the_key(tmp_path, capsys):
@@ -310,6 +377,7 @@ def test_malformed_json_exit_2(tmp_path):
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
 
+@pytest.mark.slow
 def test_validate_passes_and_reports(tmp_path, capsys):
     cfg = write_config(tmp_path / "v.json", drive1_power_w=4e-3, drive2_power_w=0.1)
     code = main(["validate", "--config", cfg, "-n", "2"])
@@ -318,6 +386,7 @@ def test_validate_passes_and_reports(tmp_path, capsys):
     assert "max relative deviation" in out
 
 
+@pytest.mark.slow
 def test_validate_strong_probe_breakdown(tmp_path, capsys):
     cfg = write_config(tmp_path / "v.json", drive1_power_w=4e-3, drive2_power_w=0.1)
     code = main(["validate", "--config", cfg, "-n", "1", "--probe-scale", "0.3"])

@@ -27,6 +27,7 @@ from oamcavity import (
 from oamcavity.oracle import default_t_end
 
 
+@pytest.mark.slow
 def test_zero_drive_zero_trajectory():
     p = derive_params(default_config(drive1_power=0.0, drive2_power=0.0, probe_power=0.0))
     traj = integrate_mean_field(p, (p.detuning1, 0.0), None, 1e-6, p.omega_phi)
@@ -35,6 +36,7 @@ def test_zero_drive_zero_trajectory():
     assert traj.stats["steps"] >= 1
 
 
+@pytest.mark.slow
 def test_decoupled_cavity_matches_analytic_solution():
     """g = 0 makes the c1 equation exactly solvable; frozen closed form below."""
     cfg = default_config(charge_l1=0, charge_l2=0, drive1_power=1e-6,
@@ -98,6 +100,7 @@ def test_demodulate_flags_higher_harmonics():
         demodulate(traj, om, (ts[0], ts[-1]))
 
 
+@pytest.mark.slow
 def test_trajectory_csv_dump(tmp_path):
     from oamcavity.oracle import dump_trajectory_csv
 
@@ -117,6 +120,7 @@ def test_default_t_end_capped():
     )
 
 
+@pytest.mark.slow
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_size_underflow_on_blowup():
     # absurd drive amplitude overflows the torque term; the guard must
@@ -127,22 +131,26 @@ def test_step_size_underflow_on_blowup():
         integrate_mean_field(p, (p.detuning1, 0.0), None, 1e-5, p.omega_phi)
 
 
+@pytest.mark.slow
 def test_sideband_equivalence(oracle_equivalence):
     for row in oracle_equivalence["sideband"]:
         assert row["rel_dev"] <= 1e-3, f"x = {row['x']}: rel dev {row['rel_dev']:.3e}"
 
 
+@pytest.mark.slow
 def test_demodulated_dc_matches_steady(oracle_equivalence):
     st = oracle_equivalence["steady"]
     for row in oracle_equivalence["sideband"]:
         assert abs(row["c1s_est"] - st.c1) / abs(st.c1) < 1e-4
 
 
+@pytest.mark.slow
 def test_relaxed_fixed_point_matches_solver(oracle_equivalence):
     dev = oracle_equivalence["relax_dev"]
     assert dev["c1"] <= 1e-6 and dev["c2"] <= 1e-6 and dev["phi"] <= 1e-6
 
 
+@pytest.mark.slow
 def test_vacuum_relaxation_single_cavity():
     p, = [derive_params(default_config(drive1_power=0.1, drive2_power=0.0,
                                        quality_factor=2e3, probe_power=1e-13))]
@@ -153,6 +161,7 @@ def test_vacuum_relaxation_single_cavity():
     assert abs(traj.phi[-1] - st.phi) / abs(st.phi) <= 1e-6
 
 
+@pytest.mark.slow
 def test_demodulated_sideband_linear_in_probe(oracle_equivalence):
     p = oracle_equivalence["params"]
     st = oracle_equivalence["steady"]
@@ -168,6 +177,7 @@ def test_demodulated_sideband_linear_in_probe(oracle_equivalence):
     assert abs(ratio - 2.0) <= 1e-4 * 2.0
 
 
+@pytest.mark.slow
 def test_window_shift_invariance(oracle_equivalence):
     traj = oracle_equivalence["last_traj"]
     omega = oracle_equivalence["last_omega"]
@@ -178,6 +188,7 @@ def test_window_shift_invariance(oracle_equivalence):
     assert abs(d1.c1_plus_est - d2.c1_plus_est) <= 1e-8 * abs(d1.c1_plus_est)
 
 
+@pytest.mark.slow
 def test_strong_probe_breaks_linearization(oracle_equivalence):
     p = oracle_equivalence["params"]
     st = oracle_equivalence["steady"]
@@ -198,6 +209,7 @@ def test_strong_probe_breaks_linearization(oracle_equivalence):
     assert abs(dem.c1_plus_est - analytic) / abs(analytic) >= 1e-2
 
 
+@pytest.mark.slow
 def test_transmission_oracle_decoupled_is_unity():
     # with g = 0 the model is exactly linear, so a healthy probe amplitude
     # keeps the demodulated sideband clear of the integrator's noise floor
@@ -207,6 +219,7 @@ def test_transmission_oracle_decoupled_is_unity():
     assert t == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.slow
 def test_transmission_oracle_matches_analytic_strong_drive():
     p = derive_params(default_config(drive1_power=0.1, drive2_power=0.0,
                                      quality_factor=2e3, probe_power=4e-10))
@@ -217,6 +230,7 @@ def test_transmission_oracle_matches_analytic_strong_drive():
     assert abs(t_o - t_a) <= 1e-3
 
 
+@pytest.mark.slow
 def test_transmission_oracle_distinguishes_charge_sign():
     """End to end: opposite charges give measurably different outputs."""
     results = {}
@@ -242,6 +256,7 @@ def _oracle_check_setting():
     return p, bare_detunings(p, st), start, 1e-3 * p.eps1 / p.eps_p
 
 
+@pytest.mark.slow
 def test_stepper_takes_the_steps_of_scipy_rk45():
     """Same step sequence as scipy's RK45 on the same equations and tolerances.
 
@@ -292,6 +307,7 @@ def test_stepper_takes_the_steps_of_scipy_rk45():
         assert np.max(np.abs(got - want)) <= 1e-9 * scale
 
 
+@pytest.mark.slow
 def test_stats_count_every_rhs_call():
     p, bare, start, probe_scale = _oracle_check_setting()
     traj = integrate_mean_field(p, bare, start, 0.25 / p.gamma_phi, p.omega_phi,
@@ -303,6 +319,7 @@ def test_stats_count_every_rhs_call():
     assert stats["nfev"] == 2 + 6 * (stats["steps"] + stats["rejected_steps"])
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("index, value", [(0, complex(math.nan, 0.0)), (2, math.inf)])
 def test_non_finite_initial_state_raises(index, value):
     p = derive_params(default_config(drive1_power=1e-6, drive2_power=0.0, probe_power=0.0))
@@ -312,6 +329,7 @@ def test_non_finite_initial_state_raises(index, value):
         integrate_mean_field(p, (p.detuning1, 0.0), tuple(start), 1e-7, p.omega_phi)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("t_end", [0.0, -1e-6])
 def test_non_positive_t_end_raises(t_end):
     p = derive_params(default_config(drive1_power=1e-6, drive2_power=0.0, probe_power=0.0))
@@ -319,6 +337,7 @@ def test_non_positive_t_end_raises(t_end):
         integrate_mean_field(p, (p.detuning1, 0.0), None, t_end, p.omega_phi)
 
 
+@pytest.mark.slow
 def test_tol_below_100_eps_is_clipped_with_warning():
     p = derive_params(default_config(drive1_power=1e-6, drive2_power=0.0, probe_power=0.0))
     with pytest.warns(UserWarning, match="machine epsilon"):

@@ -15,7 +15,7 @@ from oamcavity import (
     shift_distance,
     solve_steady,
 )
-from oamcavity.response import TransmissionPoint
+from oamcavity.response import TransmissionPoint, transmission_many
 from oamcavity.spectrum import Spectrum, ValleyReport
 
 
@@ -33,6 +33,39 @@ def test_sample_spectrum_validation(weak_dark):
         sample_spectrum(p, st, 0.1, -0.1, 10)
     with pytest.raises(ValueError):
         sample_spectrum(p, st, -0.1, 0.1, 2)
+
+
+def test_sample_spectrum_points_match_per_sample_build(weak_dark):
+    """`points` equals the per-sample tuple built from the same kernel output, bit for bit."""
+    p, st = weak_dark
+    xs = np.linspace(-0.01, 0.01, 257)
+    omegas = p.omega_phi * (1.0 + xs)
+    want = tuple(TransmissionPoint(omega=float(om), x=float(x), transmission=float(t))
+                 for om, x, t in zip(omegas, xs, transmission_many(p, st, omegas)))
+    got = sample_spectrum(p, st, -0.01, 0.01, 257).points
+
+    def bits(points):
+        return [(pt.omega.hex(), pt.x.hex(), pt.transmission.hex()) for pt in points]
+
+    assert bits(got) == bits(want)
+
+
+def test_spectrum_from_points_matches_array_form():
+    xs = np.linspace(-0.02, 0.02, 101)
+    ts = 1.0 - 0.5 / (1.0 + (xs / 1e-3) ** 2)
+    omegas = 6.0e7 * (1.0 + xs)
+    pts = tuple(TransmissionPoint(omega=float(om), x=float(x), transmission=float(t))
+                for om, x, t in zip(omegas, xs, ts))
+    from_points = Spectrum(points=pts, params_fingerprint="synthetic", branch_tag="selected")
+    from_arrays = Spectrum(omegas=omegas, xs=xs, transmissions=ts,
+                           params_fingerprint="synthetic", branch_tag="selected")
+    for name in ("omegas", "xs", "transmissions"):
+        assert np.array_equal(getattr(from_points, name), getattr(from_arrays, name)), name
+    assert from_arrays.points == pts
+    xs[0] = 1.0  # the spectrum holds its own read-only copy
+    assert from_arrays.xs[0] == -0.02
+    with pytest.raises(ValueError):
+        from_arrays.transmissions[0] = 0.0
 
 
 def test_flat_spectrum_when_decoupled(decoupled):
