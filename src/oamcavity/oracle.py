@@ -10,8 +10,10 @@ linearization.
 The integrator is an in-package Dormand-Prince 5(4) stepper over six
 plain floats that keeps the step control of scipy's RK45 method (same
 tableau, initial step, error norm and step factors), so it takes the same
-steps at a fraction of the per-step cost.  scipy is loaded only by
-`demodulate`, for its cubic spline; nothing else in the package needs it.
+steps at a fraction of the per-step cost.  The mean-value equations are
+written into its stages, so a step makes no function call per stage.
+scipy is loaded only by `demodulate`, for a cubic spline fitted around
+the demodulation window; nothing else in the package needs it.
 
 This path is expensive: the mechanical damping time 1/gamma_phi is the
 slow scale (tens of ms at the default quality factor), so structural
@@ -35,6 +37,7 @@ POOR_FIT_THRESHOLD = 1e-2
 MIN_PERIODS = 10
 _SAMPLES_PER_PERIOD = 32
 _MAX_SAMPLES = 65536
+_SPLINE_MARGIN = 16  # trajectory samples fitted beyond each end of the demodulation window
 
 # Dormand-Prince 5(4) tableau (J. Comput. Appl. Math. 6, 19 (1980)): nodes,
 # stage weights, the 5th-order solution weights and the error weights
@@ -104,8 +107,15 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol) -> float:
     return min(100 * h0, h1, t_end)
 
 
-def _dopri54(rhs, y_start, t_end, rtol, atol):
-    """Integrate dy/dt = rhs(t, *y) over [0, t_end] with the Dormand-Prince 5(4) pair.
+def _dopri54_mean_field(equations, y_start, t_end, rtol, atol):
+    """Integrate the mean-value equations over [0, t_end] with the Dormand-Prince 5(4) pair.
+
+    `equations` holds the constants of the right-hand side: (Delta_c1,
+    Delta_c2, kappa1, kappa2, g1, g2, eps1, eps2, eps_p, gamma_phi,
+    omega_phi^2, hbar/I, Omega).  The equations are written out once in
+    `rhs`, which only the two start-up evaluations call, and again inline
+    in stages 2-7 over local floats, in the same order of floating-point
+    operations; stages 6 and 7 share the time t + h and so their drive.
 
     Takes the same steps as scipy's RK45 method: FSAL stages, local
     extrapolation, the RMS error norm against
@@ -113,27 +123,48 @@ def _dopri54(rhs, y_start, t_end, rtol, atol):
     to [0.2, 10], no growth in the step that follows a rejection, a minimum
     step of 10 ulp(t), and the last step clipped to `t_end`.  The state is
     six Python floats and every stage is written out per component: numpy
-    arrays, a loop over the tableau and per-stage comprehensions over the
-    components all measured slower on a 6-vector.
+    arrays, a loop over the tableau, per-stage comprehensions over the
+    components and a per-stage call of `rhs` all measured slower, and so
+    did the builtins `min` and `max` in the step loop, which are written as
+    comparisons that pick the same operand (NaN included).
 
-    Returns (times, states, rejected): `array('d')` of the accepted times
-    from 0, the matching states as consecutive rows of six, and the number
-    of rejected steps.  Raises StepSizeUnderflow when the step falls below
-    the minimum.
+    Returns (times, states, rejected, nfev): `array('d')` of the accepted
+    times from 0, the matching states as consecutive rows of six, the
+    number of rejected steps and the number of right-hand-side evaluations
+    (2 at start-up, then 6 per attempted step).  Raises StepSizeUnderflow
+    when the step falls below the minimum.
     """
+    dc1, dc2, k1, k2, g1, g2, eps1, eps2, ep, gam, om2, hbar_i, omp = equations
+    cos, sin, nextafter, inf = math.cos, math.sin, math.nextafter, math.inf
+
+    def rhs(t, c1r, c1i, c2r, c2i, phi, phid):
+        d1 = dc1 + g1 * phi
+        d2 = dc2 - g2 * phi
+        drive_r = eps1 + ep * cos(omp * t)
+        drive_i = -ep * sin(omp * t)
+        dc1r = -k1 * c1r + d1 * c1i + drive_r
+        dc1i = -k1 * c1i - d1 * c1r + drive_i
+        dc2r = -k2 * c2r + d2 * c2i + eps2
+        dc2i = -k2 * c2i - d2 * c2r
+        torque = hbar_i * (g1 * (c1r * c1r + c1i * c1i) - g2 * (c2r * c2r + c2i * c2i))
+        dphid = -gam * phid - om2 * phi - torque
+        return (dc1r, dc1i, dc2r, dc2i, phid, dphid)
+
     t = 0.0
     y0, y1, y2, y3, y4, y5 = y_start
     a0, a1, a2, a3, a4, a5 = atol
     e1, e3, e4, e5, e6, e7 = _E
     f = rhs(t, *y_start)
     h_abs = _initial_step(rhs, y_start, f, t_end, rtol, atol)
+    nfev = 2
     k10, k11, k12, k13, k14, k15 = f
     times = array("d", (t,))
     states = array("d", y_start)
     rejected = 0
     while t < t_end:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        min_step = 10.0 * (nextafter(t, inf) - t)
+        if min_step > h_abs:
+            h_abs = min_step
         step_rejected = False
         while True:
             if h_abs < min_step:
@@ -142,74 +173,119 @@ def _dopri54(rhs, y_start, t_end, rtol, atol):
                     "than spacing between numbers",
                     t_divergence=t,
                 )
-            t_new = min(t + h_abs, t_end)
+            t_new = t + h_abs
+            if t_end < t_new:
+                t_new = t_end
             h = t_new - t
-            k20, k21, k22, k23, k24, k25 = rhs(
-                t + _C2 * h,
-                y0 + h * (_A21 * k10),
-                y1 + h * (_A21 * k11),
-                y2 + h * (_A21 * k12),
-                y3 + h * (_A21 * k13),
-                y4 + h * (_A21 * k14),
-                y5 + h * (_A21 * k15),
-            )
-            k30, k31, k32, k33, k34, k35 = rhs(
-                t + _C3 * h,
-                y0 + h * (_A31 * k10 + _A32 * k20),
-                y1 + h * (_A31 * k11 + _A32 * k21),
-                y2 + h * (_A31 * k12 + _A32 * k22),
-                y3 + h * (_A31 * k13 + _A32 * k23),
-                y4 + h * (_A31 * k14 + _A32 * k24),
-                y5 + h * (_A31 * k15 + _A32 * k25),
-            )
-            k40, k41, k42, k43, k44, k45 = rhs(
-                t + _C4 * h,
-                y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30),
-                y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
-                y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32),
-                y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33),
-                y4 + h * (_A41 * k14 + _A42 * k24 + _A43 * k34),
-                y5 + h * (_A41 * k15 + _A42 * k25 + _A43 * k35),
-            )
-            k50, k51, k52, k53, k54, k55 = rhs(
-                t + _C5 * h,
-                y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40),
-                y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
-                y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42),
-                y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43),
-                y4 + h * (_A51 * k14 + _A52 * k24 + _A53 * k34 + _A54 * k44),
-                y5 + h * (_A51 * k15 + _A52 * k25 + _A53 * k35 + _A54 * k45),
-            )
-            k60, k61, k62, k63, k64, k65 = rhs(
-                t + h,
-                y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50),
-                y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51),
-                y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52),
-                y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43 + _A65 * k53),
-                y4 + h * (_A61 * k14 + _A62 * k24 + _A63 * k34 + _A64 * k44 + _A65 * k54),
-                y5 + h * (_A61 * k15 + _A62 * k25 + _A63 * k35 + _A64 * k45 + _A65 * k55),
-            )
+            nfev += 6
+            # stage k_i at (t + c_i * h, u): u0..u3 the amplitudes, u4 = phi,
+            # and k_i4 = dphi/dt is the stage's own angular velocity
+            u0 = y0 + h * (_A21 * k10)
+            u1 = y1 + h * (_A21 * k11)
+            u2 = y2 + h * (_A21 * k12)
+            u3 = y3 + h * (_A21 * k13)
+            u4 = y4 + h * (_A21 * k14)
+            k24 = y5 + h * (_A21 * k15)
+            wt = omp * (t + _C2 * h)
+            d1 = dc1 + g1 * u4
+            d2 = dc2 - g2 * u4
+            k20 = -k1 * u0 + d1 * u1 + (eps1 + ep * cos(wt))
+            k21 = -k1 * u1 - d1 * u0 + -ep * sin(wt)
+            k22 = -k2 * u2 + d2 * u3 + eps2
+            k23 = -k2 * u3 - d2 * u2
+            k25 = -gam * k24 - om2 * u4 - hbar_i * (g1 * (u0 * u0 + u1 * u1) - g2 * (u2 * u2 + u3 * u3))
+
+            u0 = y0 + h * (_A31 * k10 + _A32 * k20)
+            u1 = y1 + h * (_A31 * k11 + _A32 * k21)
+            u2 = y2 + h * (_A31 * k12 + _A32 * k22)
+            u3 = y3 + h * (_A31 * k13 + _A32 * k23)
+            u4 = y4 + h * (_A31 * k14 + _A32 * k24)
+            k34 = y5 + h * (_A31 * k15 + _A32 * k25)
+            wt = omp * (t + _C3 * h)
+            d1 = dc1 + g1 * u4
+            d2 = dc2 - g2 * u4
+            k30 = -k1 * u0 + d1 * u1 + (eps1 + ep * cos(wt))
+            k31 = -k1 * u1 - d1 * u0 + -ep * sin(wt)
+            k32 = -k2 * u2 + d2 * u3 + eps2
+            k33 = -k2 * u3 - d2 * u2
+            k35 = -gam * k34 - om2 * u4 - hbar_i * (g1 * (u0 * u0 + u1 * u1) - g2 * (u2 * u2 + u3 * u3))
+
+            u0 = y0 + h * (_A41 * k10 + _A42 * k20 + _A43 * k30)
+            u1 = y1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31)
+            u2 = y2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32)
+            u3 = y3 + h * (_A41 * k13 + _A42 * k23 + _A43 * k33)
+            u4 = y4 + h * (_A41 * k14 + _A42 * k24 + _A43 * k34)
+            k44 = y5 + h * (_A41 * k15 + _A42 * k25 + _A43 * k35)
+            wt = omp * (t + _C4 * h)
+            d1 = dc1 + g1 * u4
+            d2 = dc2 - g2 * u4
+            k40 = -k1 * u0 + d1 * u1 + (eps1 + ep * cos(wt))
+            k41 = -k1 * u1 - d1 * u0 + -ep * sin(wt)
+            k42 = -k2 * u2 + d2 * u3 + eps2
+            k43 = -k2 * u3 - d2 * u2
+            k45 = -gam * k44 - om2 * u4 - hbar_i * (g1 * (u0 * u0 + u1 * u1) - g2 * (u2 * u2 + u3 * u3))
+
+            u0 = y0 + h * (_A51 * k10 + _A52 * k20 + _A53 * k30 + _A54 * k40)
+            u1 = y1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41)
+            u2 = y2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42)
+            u3 = y3 + h * (_A51 * k13 + _A52 * k23 + _A53 * k33 + _A54 * k43)
+            u4 = y4 + h * (_A51 * k14 + _A52 * k24 + _A53 * k34 + _A54 * k44)
+            k54 = y5 + h * (_A51 * k15 + _A52 * k25 + _A53 * k35 + _A54 * k45)
+            wt = omp * (t + _C5 * h)
+            d1 = dc1 + g1 * u4
+            d2 = dc2 - g2 * u4
+            k50 = -k1 * u0 + d1 * u1 + (eps1 + ep * cos(wt))
+            k51 = -k1 * u1 - d1 * u0 + -ep * sin(wt)
+            k52 = -k2 * u2 + d2 * u3 + eps2
+            k53 = -k2 * u3 - d2 * u2
+            k55 = -gam * k54 - om2 * u4 - hbar_i * (g1 * (u0 * u0 + u1 * u1) - g2 * (u2 * u2 + u3 * u3))
+
+            u0 = y0 + h * (_A61 * k10 + _A62 * k20 + _A63 * k30 + _A64 * k40 + _A65 * k50)
+            u1 = y1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51)
+            u2 = y2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52)
+            u3 = y3 + h * (_A61 * k13 + _A62 * k23 + _A63 * k33 + _A64 * k43 + _A65 * k53)
+            u4 = y4 + h * (_A61 * k14 + _A62 * k24 + _A63 * k34 + _A64 * k44 + _A65 * k54)
+            k64 = y5 + h * (_A61 * k15 + _A62 * k25 + _A63 * k35 + _A64 * k45 + _A65 * k55)
+            wt = omp * (t + h)
+            drive_r = eps1 + ep * cos(wt)
+            drive_i = -ep * sin(wt)
+            d1 = dc1 + g1 * u4
+            d2 = dc2 - g2 * u4
+            k60 = -k1 * u0 + d1 * u1 + drive_r
+            k61 = -k1 * u1 - d1 * u0 + drive_i
+            k62 = -k2 * u2 + d2 * u3 + eps2
+            k63 = -k2 * u3 - d2 * u2
+            k65 = -gam * k64 - om2 * u4 - hbar_i * (g1 * (u0 * u0 + u1 * u1) - g2 * (u2 * u2 + u3 * u3))
+
             z0 = y0 + h * (_B1 * k10 + _B3 * k30 + _B4 * k40 + _B5 * k50 + _B6 * k60)
             z1 = y1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
             z2 = y2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
             z3 = y3 + h * (_B1 * k13 + _B3 * k33 + _B4 * k43 + _B5 * k53 + _B6 * k63)
             z4 = y4 + h * (_B1 * k14 + _B3 * k34 + _B4 * k44 + _B5 * k54 + _B6 * k64)
             z5 = y5 + h * (_B1 * k15 + _B3 * k35 + _B4 * k45 + _B5 * k55 + _B6 * k65)
-            k70, k71, k72, k73, k74, k75 = rhs(t + h, z0, z1, z2, z3, z4, z5)
-            # error estimate over its scale per component; x * x, not x**2, so
-            # a blowup gives inf instead of OverflowError
+            # FSAL stage f(t + h, z), the next step's k1
+            d1 = dc1 + g1 * z4
+            d2 = dc2 - g2 * z4
+            k70 = -k1 * z0 + d1 * z1 + drive_r
+            k71 = -k1 * z1 - d1 * z0 + drive_i
+            k72 = -k2 * z2 + d2 * z3 + eps2
+            k73 = -k2 * z3 - d2 * z2
+            k75 = -gam * z5 - om2 * z4 - hbar_i * (g1 * (z0 * z0 + z1 * z1) - g2 * (z2 * z2 + z3 * z3))
+            # error estimate over its scale a + max(|y|, |z|) * rtol per
+            # component; x * x, not x**2, so a blowup gives inf instead of
+            # OverflowError
             r0 = h * (e1 * k10 + e3 * k30 + e4 * k40 + e5 * k50 + e6 * k60 + e7 * k70) / (
-                a0 + max(abs(y0), abs(z0)) * rtol)
+                a0 + (az if (az := abs(z0)) > (ay := abs(y0)) else ay) * rtol)
             r1 = h * (e1 * k11 + e3 * k31 + e4 * k41 + e5 * k51 + e6 * k61 + e7 * k71) / (
-                a1 + max(abs(y1), abs(z1)) * rtol)
+                a1 + (az if (az := abs(z1)) > (ay := abs(y1)) else ay) * rtol)
             r2 = h * (e1 * k12 + e3 * k32 + e4 * k42 + e5 * k52 + e6 * k62 + e7 * k72) / (
-                a2 + max(abs(y2), abs(z2)) * rtol)
+                a2 + (az if (az := abs(z2)) > (ay := abs(y2)) else ay) * rtol)
             r3 = h * (e1 * k13 + e3 * k33 + e4 * k43 + e5 * k53 + e6 * k63 + e7 * k73) / (
-                a3 + max(abs(y3), abs(z3)) * rtol)
-            r4 = h * (e1 * k14 + e3 * k34 + e4 * k44 + e5 * k54 + e6 * k64 + e7 * k74) / (
-                a4 + max(abs(y4), abs(z4)) * rtol)
+                a3 + (az if (az := abs(z3)) > (ay := abs(y3)) else ay) * rtol)
+            r4 = h * (e1 * k14 + e3 * k34 + e4 * k44 + e5 * k54 + e6 * k64 + e7 * z5) / (
+                a4 + (az if (az := abs(z4)) > (ay := abs(y4)) else ay) * rtol)
             r5 = h * (e1 * k15 + e3 * k35 + e4 * k45 + e5 * k55 + e6 * k65 + e7 * k75) / (
-                a5 + max(abs(y5), abs(z5)) * rtol)
+                a5 + (az if (az := abs(z5)) > (ay := abs(y5)) else ay) * rtol)
             err = math.sqrt((r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4 + r5 * r5) / 6.0)
             if err < 1.0:
                 factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err**_ERROR_EXPONENT)
@@ -223,10 +299,10 @@ def _dopri54(rhs, y_start, t_end, rtol, atol):
             rejected += 1
         t = t_new
         y0, y1, y2, y3, y4, y5 = z0, z1, z2, z3, z4, z5
-        k10, k11, k12, k13, k14, k15 = k70, k71, k72, k73, k74, k75
+        k10, k11, k12, k13, k14, k15 = k70, k71, k72, k73, z5, k75
         times.append(t)
         states.extend((y0, y1, y2, y3, y4, y5))
-    return times, states, rejected
+    return times, states, rejected, nfev
 
 
 def integrate_mean_field(
@@ -241,8 +317,8 @@ def integrate_mean_field(
     """Adaptive Dormand-Prince 5(4) integration of the coupled mean-value equations.
 
     The state is six real floats (Re/Im c1, Re/Im c2, phi, dphi/dt), stepped
-    by `_dopri54` from t = 0 to `t_end` with rtol = `tol` and a per-component
-    atol of `tol` times the component's drive-set scale.
+    by `_dopri54_mean_field` from t = 0 to `t_end` with rtol = `tol` and a
+    per-component atol of `tol` times the component's drive-set scale.
 
     Parameters
     ----------
@@ -273,25 +349,9 @@ def integrate_mean_field(
     g1, g2 = params.g1, params.g2
     e1, e2 = params.eps1, params.eps2
     ep = eps_p_scale * params.eps_p
-    gam, om2 = params.gamma_phi, params.omega_phi**2
-    hbar_i = params.hbar / params.inertia
-    omp = omega_probe
-    nfev = 0
-
-    def rhs(t, c1r, c1i, c2r, c2i, phi, phid):
-        nonlocal nfev
-        nfev += 1
-        d1 = dc1 + g1 * phi
-        d2 = dc2 - g2 * phi
-        drive_r = e1 + ep * math.cos(omp * t)
-        drive_i = -ep * math.sin(omp * t)
-        dc1r = -k1 * c1r + d1 * c1i + drive_r
-        dc1i = -k1 * c1i - d1 * c1r + drive_i
-        dc2r = -k2 * c2r + d2 * c2i + e2
-        dc2i = -k2 * c2i - d2 * c2r
-        torque = hbar_i * (g1 * (c1r * c1r + c1i * c1i) - g2 * (c2r * c2r + c2i * c2i))
-        dphid = -gam * phid - om2 * phi - torque
-        return (dc1r, dc1i, dc2r, dc2i, phid, dphid)
+    om2 = params.omega_phi**2
+    equations = (dc1, dc2, k1, k2, g1, g2, e1, e2, ep, params.gamma_phi, om2,
+                 params.hbar / params.inertia, omega_probe)
 
     if initial_state is None:
         y0 = (0.0,) * 6
@@ -320,7 +380,7 @@ def integrate_mean_field(
         warnings.warn(f"tol {tol:g} is below 100 * machine epsilon; using rtol = {_MIN_RTOL:g}",
                       stacklevel=2)
         rtol = _MIN_RTOL
-    times, states, rejected = _dopri54(rhs, y0, t_end, rtol, atol)
+    times, states, rejected, nfev = _dopri54_mean_field(equations, y0, t_end, rtol, atol)
     steps = len(times) - 1
     ys = np.frombuffer(states).reshape(-1, 6)
     return Trajectory(
@@ -345,7 +405,9 @@ def demodulate(trajectory: Trajectory, omega: float, window: tuple[float, float]
     The window is snapped to a whole number of beat periods (ending at its
     right edge) and must cover at least 10 of them; the trajectory is
     resampled onto a uniform grid with cubic interpolation first, so the
-    projection is independent of the adaptive step placement.
+    projection is independent of the adaptive step placement.  The spline
+    is fitted on the window's samples and 16 more on either side, not on
+    the whole trajectory.
 
     Raises
     ------
@@ -370,9 +432,17 @@ def demodulate(trajectory: Trajectory, omega: float, window: tuple[float, float]
     from scipy.interpolate import CubicSpline  # the package's only scipy use
 
     n_samples = min(_SAMPLES_PER_PERIOD * n_per, _MAX_SAMPLES)
-    ts = np.linspace(t_start, min(t1, trajectory.times[-1]), n_samples)
-    spline_r = CubicSpline(trajectory.times, trajectory.c1.real)
-    spline_i = CubicSpline(trajectory.times, trajectory.c1.imag)
+    times = trajectory.times
+    t_stop = min(t1, times[-1])
+    ts = np.linspace(t_start, t_stop, n_samples)
+    # the spline's dependence on a knot decays geometrically with distance,
+    # so fitting the knots of the window plus a margin either side matches
+    # the whole-trajectory fit to rounding
+    lo = max(int(np.searchsorted(times, t_start, side="right")) - 1 - _SPLINE_MARGIN, 0)
+    hi = int(np.searchsorted(times, t_stop, side="left")) + 1 + _SPLINE_MARGIN
+    knots, c1_knots = times[lo:hi], trajectory.c1[lo:hi]
+    spline_r = CubicSpline(knots, c1_knots.real)
+    spline_i = CubicSpline(knots, c1_knots.imag)
     c1 = spline_r(ts) + 1j * spline_i(ts)
 
     basis = np.column_stack(

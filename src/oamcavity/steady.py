@@ -125,6 +125,19 @@ def _state_at(params: SystemParams, phi: float, branch_tag: str) -> SteadyState:
     )
 
 
+def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficient-wise a + b, the shorter one padded with zeros.
+
+    The polynomials here hold 1-6 coefficients, where numpy.polynomial's
+    argument handling costs more than the arithmetic.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    out = a.copy()
+    out[: len(b)] += b
+    return out
+
+
 def _polynomial_roots(params: SystemParams, scale: float) -> list[float]:
     """phi at each real root of the fixed point cleared of its denominators.
 
@@ -152,8 +165,9 @@ def _polynomial_roots(params: SystemParams, scale: float) -> list[float]:
 
     l1 = lorentzian(params.kappa1, params.detuning1, params.g1 / g, pull1)
     l2 = lorentzian(params.kappa2, params.detuning2.value, slope2, pull2)
-    drive = P.polysub(pull1 * l2, pull2 * l1) / (sigma * w**2)
-    roots = P.polyroots(P.polyadd(P.polymul([0.0, 1.0], P.polymul(l1, l2)), drive))
+    drive = _padded_sum(pull1 * l2, -pull2 * l1) / (sigma * w**2)
+    # z*l1*l2 + drive; polyroots trims the trailing zero coefficients
+    roots = P.polyroots(_padded_sum(np.concatenate(([0.0], np.convolve(l1, l2))), drive))
     return [sigma * float(z.real) for z in roots if abs(z.imag) <= _IMAG_TOL * abs(z)]
 
 

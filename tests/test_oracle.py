@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +307,107 @@ def test_stepper_takes_the_steps_of_scipy_rk45():
         (traj.phi_dot, ref.y[5], p.omega_phi * phi_scale),
     ):
         assert np.max(np.abs(got - want)) <= 1e-9 * scale
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block after `seconds` of wall time (where SIGALRM exists)."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_stepper_matches_scipy_rk45_over_200_steps():
+    """Fast guard on every Dormand-Prince stage: a mistyped stage changes the steps.
+
+    About 200 steps of `_oracle_check_setting()` against scipy's RK45 on the
+    model equations written out here; step count and RHS calls match
+    exactly, times and states to 1e-9 (states against each amplitude's
+    scale: |c1|, |c2|, |phi| and omega_phi * |phi|).  A wrong stage can also
+    make the step size collapse, so the integration gets a time limit (it
+    takes about 0.01 s) and fails instead of crawling.
+    """
+    from scipy.integrate import solve_ivp
+
+    p, (dc1, dc2), start, probe_scale = _oracle_check_setting()
+    t_end = 0.025 / p.gamma_phi
+    omega = p.omega_phi
+    ep = probe_scale * p.eps_p
+    with _time_limit(30.0):
+        traj = integrate_mean_field(p, (dc1, dc2), start, t_end, omega, eps_p_scale=probe_scale)
+
+    def rhs(t, y):
+        c1, c2, phi, phid = y[0] + 1j * y[1], y[2] + 1j * y[3], y[4], y[5]
+        dc1_dt = -(p.kappa1 + 1j * (dc1 + p.g1 * phi)) * c1 + p.eps1 + ep * np.exp(-1j * omega * t)
+        dc2_dt = -(p.kappa2 + 1j * (dc2 - p.g2 * phi)) * c2 + p.eps2
+        torque = p.hbar / p.inertia * (p.g1 * abs(c1) ** 2 - p.g2 * abs(c2) ** 2)
+        return [dc1_dt.real, dc1_dt.imag, dc2_dt.real, dc2_dt.imag, phid,
+                -p.gamma_phi * phid - p.omega_phi**2 * phi - torque]
+
+    y0 = [start[0].real, start[0].imag, start[1].real, start[1].imag, start[2], start[3]]
+    ref = solve_ivp(rhs, (0.0, t_end), y0, method="RK45",
+                    rtol=traj.stats["rtol"], atol=traj.stats["atol"])
+    assert ref.success
+    assert 150 <= traj.stats["steps"] <= 250
+    assert traj.stats["steps"] == len(ref.t) - 1
+    assert traj.stats["nfev"] == ref.nfev
+    np.testing.assert_allclose(traj.times, ref.t, rtol=1e-9, atol=0.0)
+    phi_scale = np.max(np.abs(ref.y[4]))
+    for got, want, scale in (
+        (traj.c1, ref.y[0] + 1j * ref.y[1], np.max(np.abs(ref.y[0] + 1j * ref.y[1]))),
+        (traj.c2, ref.y[2] + 1j * ref.y[3], np.max(np.abs(ref.y[2] + 1j * ref.y[3]))),
+        (traj.phi, ref.y[4], phi_scale),
+        (traj.phi_dot, ref.y[5], p.omega_phi * phi_scale),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-9 * scale
+
+
+def _demodulate_on_whole_trajectory(traj, omega, window):
+    """`demodulate`'s projection with splines fitted on every trajectory sample."""
+    from scipy.interpolate import CubicSpline
+
+    t0, t1 = window
+    period = 2.0 * math.pi / omega
+    n_per = int(math.floor((t1 - t0) / period))
+    ts = np.linspace(t1 - n_per * period, min(t1, traj.times[-1]), min(32 * n_per, 65536))
+    c1 = CubicSpline(traj.times, traj.c1.real)(ts) + 1j * CubicSpline(traj.times, traj.c1.imag)(ts)
+    basis = np.column_stack([np.ones_like(ts), np.exp(-1j * omega * ts), np.exp(1j * omega * ts)])
+    coef, *_ = np.linalg.lstsq(basis, c1, rcond=None)
+    return coef
+
+
+def test_window_spline_matches_whole_trajectory_spline():
+    """`demodulate` fits its splines near the window only; the projection must not move.
+
+    `oracle_check.json` at Q = 2e3 with finesse1 = 500, so cavity 1 settles
+    (1/kappa1 = 5 ns) well inside the 20 beat periods (2e-6 s) integrated;
+    one window ends at the trajectory's end, one inside it.
+    """
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "oracle_check.json"))
+    p, st = operating_point(dataclasses.replace(cfg, quality_factor=2e3, finesse1=500.0))
+    omega = p.omega_phi
+    period = 2.0 * math.pi / omega
+    t_end = 20 * period
+    with _time_limit(30.0):
+        traj = integrate_mean_field(p, bare_detunings(p, st), (st.c1, st.c2, st.phi, 0.0), t_end,
+                                    omega, eps_p_scale=1e-3 * p.eps1 / p.eps_p)
+    assert len(traj.times) > 1000
+    for window in ((t_end - 12 * period, t_end), (3.2 * period, 17.5 * period)):
+        dem = demodulate(traj, omega, window)
+        ref = _demodulate_on_whole_trajectory(traj, omega, window)
+        for got, want in zip((dem.c1s_est, dem.c1_plus_est, dem.c1_minus_est), ref):
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.slow
