@@ -1,30 +1,31 @@
 """Transmission spectra, resonance-valley location and linewidths.
 
-The valley is the interior minimum of T(x) with positive discrete
-curvature, x = (Omega - omega_phi)/omega_phi.  Location uses a coarse
-grid followed by derivative-free golden-section refinement; the Fano-like
-shoulders make curvature-based methods ill-conditioned, so no derivatives
-are trusted anywhere here.
+The valley is the interior minimum of T(x), x = (Omega - omega_phi)/omega_phi,
+whose discrete curvature clears a rounding floor.  Location uses a coarse grid
+followed by derivative-free bracketed grid rounds; the Fano-like shoulders
+make curvature-based methods ill-conditioned, so no derivatives are trusted.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DipTooShallow, Multistable, NoConvergence, NoInteriorMinimum, SingularSystem
 from .params import Detuning2Spec, SystemConfig, SystemParams, fingerprint
-from .response import TransmissionPoint, transmission_at, transmission_many
+from .response import TransmissionPoint, transmission_many
 from .steady import SteadyState, operating_point
 
 DEFAULT_WINDOW = (-0.2, 0.2)
 MAX_ABS_X = 2.0
 COARSE_POINTS = 1024
+REFINE_POINTS = 65  # per refinement round; each round shrinks the bracket 32-fold
 X_TOL = 1e-9
 DEPTH_FLOOR = 1e-3
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+#: curvature floor in eps*T_min, 4x the +-14 eps*T that rounding alone reaches
+#: on flat stretches of the shipped configs; real dips clear it by nine orders
+CURVATURE_FLOOR_EPS = 64.0
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -96,22 +97,6 @@ def sample_spectrum(
     )
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> float:
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def find_valley(
     params: SystemParams,
     steady: SteadyState,
@@ -120,14 +105,17 @@ def find_valley(
 ) -> ValleyReport:
     """Locate the resonance valley: dT/dx = 0 with d2T/dx2 > 0.
 
-    Coarse grid (1024 points) plus golden-section refinement to 1e-9
-    absolute in x.  If the coarse minimum lands on a window boundary the
-    window is doubled, up to |x| <= 2, before giving up.
+    Coarse grid (1024 points), then grid rounds of one kernel call each that
+    shrink the bracket to the argmin's neighbours until it is 1e-9 wide in x.
+    If the coarse minimum lands on a window boundary the window is doubled,
+    up to |x| <= 2, before giving up.  The second difference at +-1e-8 must
+    clear CURVATURE_FLOOR_EPS*eps*T_min.
 
     Raises
     ------
     NoInteriorMinimum
-        flat or boundary-running spectra after maximal expansion.
+        flat or boundary-running spectra after maximal expansion, or a
+        minimum whose curvature is at rounding level.
     """
     x_lo, x_hi = window
     if not x_lo < x_hi:
@@ -149,16 +137,26 @@ def find_valley(
         x_lo = max(x_lo - half / 2.0, -MAX_ABS_X)
         x_hi = min(x_hi + half / 2.0, MAX_ABS_X)
 
-    f = lambda x: transmission_at(params, steady, params.omega_phi * (1.0 + x))
-    x_star = _golden_min(f, float(xs[i - 1]), float(xs[i + 1]), X_TOL)
-    t_min = f(x_star)
+    a, b = float(xs[i - 1]), float(xs[i + 1])
+    while True:
+        grid = np.linspace(a, b, REFINE_POINTS)
+        tg = transmission_many(params, steady, params.omega_phi * (1.0 + grid))
+        j = int(np.argmin(tg))
+        a, b = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, REFINE_POINTS - 1)])
+        if b - a <= X_TOL:
+            break
+    x_star, t_min = float(grid[j]), float(tg[j])
 
     # discrete second difference at the converged minimum
     h = max(10.0 * X_TOL, 1e-8)
-    curvature = f(x_star - h) + f(x_star + h) - 2.0 * t_min
-    if not curvature > 0.0:
+    pair = np.array([x_star - h, x_star + h])
+    t_lo, t_hi = transmission_many(params, steady, params.omega_phi * (1.0 + pair))
+    curvature = float(t_lo + t_hi) - 2.0 * t_min
+    floor = CURVATURE_FLOOR_EPS * np.finfo(float).eps * t_min
+    if not curvature > floor:
         raise NoInteriorMinimum(
-            f"refined point x = {x_star:.6e} has non-positive discrete curvature"
+            f"refined point x = {x_star:.6e} has discrete curvature {curvature:.3e}, "
+            f"not above the rounding floor {floor:.3e}"
         )
 
     report = ValleyReport(

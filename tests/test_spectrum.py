@@ -1,22 +1,34 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oamcavity import (
     DipTooShallow,
+    Multistable,
     NoInteriorMinimum,
     derive_params,
     default_config,
     find_valley,
     linewidth,
+    response,
     sample_spectrum,
     shift_distance,
     solve_steady,
+    spectrum,
 )
-from oamcavity.response import TransmissionPoint, transmission_many
+from oamcavity.params import Detuning2Spec, load_config
+from oamcavity.response import (
+    TransmissionPoint,
+    closed_form_c1p,
+    transmission,
+    transmission_at,
+    transmission_many,
+)
 from oamcavity.spectrum import Spectrum, ValleyReport
+from oamcavity.steady import operating_point
 
 
 def synthetic_lorentzian_spectrum(kappa_t, x0, depth, x_lo, x_hi, n):
@@ -210,3 +222,58 @@ def test_shift_distance_marks_invalid_rows():
     assert [r[0] for r in rows] == [-0.5, 0.0, 0.5]
     d0 = [r for r in rows if r[0] == 0.0][0]
     assert d0[2] and math.isfinite(d0[1])
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_rounding_level_minimum_is_not_a_valley():
+    """T - 1 spans about 9e-16 on (-0.8, 0.8): no minimum there clears the rounding floor."""
+    cfg = load_config(str(CONFIGS / "shift_distance_base.json"))
+    cfg = dataclasses.replace(cfg, charge_l1=51,
+                              detuning2=Detuning2Spec("effective", -cfg.rotation_frequency))
+    p, st = operating_point(cfg)
+    with pytest.raises(NoInteriorMinimum):
+        find_valley(p, st, (-0.8, 0.8))
+
+
+def test_refinement_makes_few_kernel_calls(monkeypatch):
+    """Coarse grid, a few vectorized refinement rounds and one curvature pair."""
+    p, st = operating_point(load_config(str(CONFIGS / "oracle_check.json")))
+    sizes = []
+    kernel = response.transmission_many
+
+    def counted(params, steady, omegas):
+        sizes.append(len(omegas))
+        return kernel(params, steady, omegas)
+
+    # both names, so one-point calls routed through response count as well
+    monkeypatch.setattr(response, "transmission_many", counted)
+    monkeypatch.setattr(spectrum, "transmission_many", counted)
+    monkeypatch.setattr(spectrum, "_measure_fwhm", lambda *args, **kwargs: 1.0)
+    v = find_valley(p, st)
+    assert v.fwhm == 1.0
+    assert sizes[0] == spectrum.COARSE_POINTS
+    assert len(sizes) <= 7, sizes
+
+
+def _closed_form_t(p, st, x):
+    return transmission(p, closed_form_c1p(p, st, p.omega_phi * (1.0 + x)))
+
+
+def test_valley_is_closed_form_local_minimum_on_shipped_configs():
+    checked = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        try:
+            p, st = operating_point(load_config(str(path)))
+            v = find_valley(p, st)
+        except (Multistable, NoInteriorMinimum):
+            continue
+        if v.fwhm is None:
+            continue
+        t_star = _closed_form_t(p, st, v.x_star)
+        for dx in (-1e-8, 1e-8):
+            assert _closed_form_t(p, st, v.x_star + dx) > t_star, (path.name, dx)
+        assert v.t_min == transmission_at(p, st, p.omega_phi * (1.0 + v.x_star)), path.name
+        checked.append(path.name)
+    assert len(checked) >= 4, checked
