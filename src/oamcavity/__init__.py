@@ -18,6 +18,7 @@ from .errors import (
     NoInteriorMinimum,
     OamCavityError,
     OutOfRange,
+    PointFailure,
     PoorFit,
     SingularSystem,
     StepSizeUnderflow,

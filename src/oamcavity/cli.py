@@ -13,15 +13,29 @@ Exit codes (frozen for scripting).  Each error class carries its own as
        file, an invalid range or --branch on the command line
     3  multistable steady state and no --branch given: Multistable
     4  numeric failure: every other OamCavityError (NoConvergence,
-       SingularSystem, NoInteriorMinimum, DipTooShallow, ModelNotInvertible,
-       CalibrationError, StepSizeUnderflow, WindowTooShort, PoorFit), and a
-       `validate` deviation above 1e-3
+       SingularSystem, NoInteriorMinimum, DipTooShallow, their base class
+       PointFailure, ModelNotInvertible, CalibrationError,
+       StepSizeUnderflow, WindowTooShort, PoorFit), and a `validate`
+       deviation above 1e-3
     5  measurement out of calibration range: OutOfRange
     6  calibration fingerprint mismatch (no --force): FingerprintMismatch
 
 Errors are reported on stderr as ``<ErrorClass>: <message>``; a ConfigError
 message names every offending config field.  `spectrum` without --branch
 on a multistable config instead prints the coexisting roots as JSON.
+A sweep row or calibration charge that raises a PointFailure is recorded
+as invalid and the run goes on.
+
+Config keys and their checks (``params.FIELDS``): strictly positive
+mirror_radius_m, mirror_mass_kg, rotation_frequency_rad_s, quality_factor,
+cavity_length_m, finesse_1, finesse_2, drive1_wavelength_m and
+drive2_wavelength_m (optional, defaults to drive 1); non-negative
+drive1_power_w, drive2_power_w and probe_power_w; integer charge_l1 and
+charge_l2; finite detuning1_rad_s and at most one of
+detuning2_effective_rad_s or detuning2_bare_rad_s.  A zero probe power is
+a valid config, but every command that measures T (spectrum, calibrate,
+a sweep of x-star, resonance-transmission or shift-distance, and
+validate) refuses it with ``ConfigError: probe_power: ...`` and exit 2.
 """
 
 from __future__ import annotations
@@ -38,13 +52,11 @@ import numpy as np
 from . import __version__
 from .errors import (
     ConfigError,
-    DipTooShallow,
     FingerprintMismatch,
     Multistable,
-    NoConvergence,
     NoInteriorMinimum,
     OamCavityError,
-    SingularSystem,
+    PointFailure,
 )
 from .oam import (
     build_calibration,
@@ -55,7 +67,7 @@ from .oam import (
 )
 from .oracle import default_t_end, demodulate, integrate_mean_field
 from .params import Detuning2Spec, canonical_dict, derive_params, fingerprint, load_config
-from .response import sideband_response, transmission_at
+from .response import probe_amplitude, sideband_response, transmission_at
 from .spectrum import DEFAULT_WINDOW, charge_step_shift, find_valley, sample_spectrum
 from .steady import bare_detunings, operating_point, solve_steady
 
@@ -225,7 +237,7 @@ def _sweep_point(config, axis, value, observable):
         if observable == "detuning":
             return value, (steady.delta1 - params.omega_phi) / params.omega_phi, True
         raise ValueError(f"unknown observable {observable!r}")
-    except (Multistable, NoConvergence, NoInteriorMinimum, DipTooShallow, SingularSystem):
+    except PointFailure:
         return value, float("nan"), False
 
 
@@ -275,7 +287,7 @@ def cmd_validate(args) -> int:
     params, steady = operating_point(config)
     bare = bare_detunings(params, steady)
 
-    probe_scale = args.probe_scale * params.eps1 / params.eps_p if params.eps_p > 0 else 0.0
+    probe_scale = args.probe_scale * params.eps1 / probe_amplitude(params)
     t_end = default_t_end(params)
     start = (steady.c1, steady.c2, steady.phi, 0.0)
 

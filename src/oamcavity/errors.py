@@ -11,7 +11,7 @@ class OamCavityError(Exception):
     exit_code = 4
 
 
-class ConfigError(OamCavityError):
+class ConfigError(OamCavityError, ValueError):
     """Configuration rejected; carries the list of violations."""
 
     exit_code = 2
@@ -21,7 +21,15 @@ class ConfigError(OamCavityError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
-class NoConvergence(OamCavityError):
+class PointFailure(OamCavityError):
+    """One operating point or spectrum has no usable result.
+
+    Sweeps record it as an invalid row and calibrations as a failed
+    charge; a run that needs that single point fails with it.
+    """
+
+
+class NoConvergence(PointFailure):
     """Steady-state root search found no usable root.
 
     Attributes
@@ -37,7 +45,7 @@ class NoConvergence(OamCavityError):
         self.window = window
 
 
-class Multistable(OamCavityError):
+class Multistable(PointFailure):
     """Several steady states coexist; the operating point is ambiguous.
 
     Attributes
@@ -53,15 +61,15 @@ class Multistable(OamCavityError):
         self.report = report
 
 
-class SingularSystem(OamCavityError):
+class SingularSystem(PointFailure):
     """Sideband linear system is numerically singular (parametric-instability point)."""
 
 
-class NoInteriorMinimum(OamCavityError):
+class NoInteriorMinimum(PointFailure):
     """No interior transmission minimum found after maximal window expansion."""
 
 
-class DipTooShallow(OamCavityError):
+class DipTooShallow(PointFailure):
     """Transmission dip depth is below the measurable floor."""
 
 

@@ -16,10 +16,9 @@ from .errors import (
     CalibrationError,
     ModelNotInvertible,
     Multistable,
-    NoConvergence,
     NoInteriorMinimum,
     OutOfRange,
-    SingularSystem,
+    PointFailure,
 )
 from .params import SystemParams, fingerprint
 from .spectrum import DEFAULT_WINDOW, find_valley
@@ -67,7 +66,7 @@ def _entry_for_charge(params_template, charge, window) -> CalibrationEntry | str
         return "multistable"
     except NoInteriorMinimum:
         return "no-interior-minimum"
-    except (NoConvergence, SingularSystem) as err:
+    except PointFailure as err:
         return type(err).__name__
     return CalibrationEntry(charge=charge, x_star=valley.x_star, fwhm=valley.fwhm)
 
@@ -147,7 +146,7 @@ def detuning_curve(params_template: SystemParams, l_min: int, l_max: int):
     for charge in range(l_min, l_max + 1):
         try:
             _, steady = operating_point(replace(params_template.config, charge_l1=charge))
-        except (Multistable, NoConvergence):
+        except PointFailure:
             rows.append((charge, None))
             continue
         rows.append((charge, (steady.delta1 - omega_phi) / omega_phi))

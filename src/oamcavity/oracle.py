@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import PoorFit, StepSizeUnderflow, WindowTooShort
 from .params import SystemParams
+from .response import transmission
 
 DEFAULT_TOL = 1e-10
 POOR_FIT_THRESHOLD = 1e-2
@@ -487,7 +488,7 @@ def transmission_oracle(
     traj = integrate_mean_field(params, bare_detunings, initial_state, t_end, omega, tol=tol)
     window = (t_end - (n_periods + 1) * 2.0 * math.pi / omega, t_end)
     demod = demodulate(traj, omega, window)
-    return abs(1.0 - 2.0 * params.kappa1 * demod.c1_plus_est / params.eps_p) ** 2
+    return transmission(params, demod.c1_plus_est)
 
 
 def dump_trajectory_csv(trajectory: Trajectory, path) -> None:

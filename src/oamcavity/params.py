@@ -22,29 +22,49 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 
+from .errors import ConfigError
+
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 HBAR = 1.054571817e-34  # J*s, 2019 SI
 
-#: Canonical configuration-file keys, their SystemConfig attributes and units.
-CONFIG_KEYS = {
-    "mirror_radius_m": "mirror_radius",
-    "mirror_mass_kg": "mirror_mass",
-    "rotation_frequency_rad_s": "rotation_frequency",
-    "quality_factor": "quality_factor",
-    "cavity_length_m": "cavity_length",
-    "finesse_1": "finesse1",
-    "finesse_2": "finesse2",
-    "drive1_power_w": "drive1_power",
-    "drive2_power_w": "drive2_power",
-    "probe_power_w": "probe_power",
-    "drive1_wavelength_m": "drive1_wavelength",
-    "drive2_wavelength_m": "drive2_wavelength",
-    "detuning1_rad_s": "detuning1",
-    "detuning2_effective_rad_s": None,  # tagged choice, handled specially
-    "detuning2_bare_rad_s": None,
-    "charge_l1": "charge_l1",
-    "charge_l2": "charge_l2",
-}
+#: One row per plain configuration key: (config-file key, SystemConfig
+#: attribute, check), the check being "positive", "non-negative", "finite"
+#: or "integer".  Rows are in the order `validate` reports violations.
+#: `drive2_wavelength` may also be None (same as drive 1).  The two
+#: detuning-2 keys are a tagged choice, in DETUNING2_KEYS.
+FIELDS = (
+    ("mirror_radius_m", "mirror_radius", "positive"),
+    ("mirror_mass_kg", "mirror_mass", "positive"),
+    ("rotation_frequency_rad_s", "rotation_frequency", "positive"),
+    ("quality_factor", "quality_factor", "positive"),
+    ("cavity_length_m", "cavity_length", "positive"),
+    ("finesse_1", "finesse1", "positive"),
+    ("finesse_2", "finesse2", "positive"),
+    ("drive1_wavelength_m", "drive1_wavelength", "positive"),
+    ("drive2_wavelength_m", "drive2_wavelength", "positive"),
+    ("drive1_power_w", "drive1_power", "non-negative"),
+    ("drive2_power_w", "drive2_power", "non-negative"),
+    ("probe_power_w", "probe_power", "non-negative"),
+    ("charge_l1", "charge_l1", "integer"),
+    ("charge_l2", "charge_l2", "integer"),
+    ("detuning1_rad_s", "detuning1", "finite"),
+)
+#: config-file key -> Detuning2Spec mode; a config gives at most one
+DETUNING2_KEYS = {"detuning2_effective_rad_s": "effective", "detuning2_bare_rad_s": "bare"}
+
+
+def _check(check: str, val) -> str | None:
+    """The violation message for `val` under `check`, or None if it passes."""
+    if check == "integer":
+        if isinstance(val, bool) or not isinstance(val, int):
+            return f"topological charge must be an integer, got {val!r}"
+    elif not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+        return f"must be a finite number, got {val!r}"
+    elif check == "positive" and val <= 0:
+        return f"must be strictly positive, got {val!r}"
+    elif check == "non-negative" and val < 0:
+        return f"must be non-negative, got {val!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -140,40 +160,14 @@ def validate(config: SystemConfig) -> list[Violation]:
     Total function: never raises, names the offending field in each violation.
     """
     v = []
-    positive = [
-        ("mirror_radius", config.mirror_radius),
-        ("mirror_mass", config.mirror_mass),
-        ("rotation_frequency", config.rotation_frequency),
-        ("quality_factor", config.quality_factor),
-        ("cavity_length", config.cavity_length),
-        ("finesse1", config.finesse1),
-        ("finesse2", config.finesse2),
-        ("drive1_wavelength", config.drive1_wavelength),
-    ]
-    for name, val in positive:
-        if not (isinstance(val, (int, float)) and not isinstance(val, bool)) or not math.isfinite(val):
-            v.append(Violation(name, f"must be a finite number, got {val!r}"))
-        elif val <= 0:
-            v.append(Violation(name, f"must be strictly positive, got {val!r}"))
-    if config.drive2_wavelength is not None:
-        w2 = config.drive2_wavelength
-        if not isinstance(w2, (int, float)) or isinstance(w2, bool) or not math.isfinite(w2) or w2 <= 0:
-            v.append(Violation("drive2_wavelength", f"must be strictly positive, got {w2!r}"))
-    for name, val in [
-        ("drive1_power", config.drive1_power),
-        ("drive2_power", config.drive2_power),
-        ("probe_power", config.probe_power),
-    ]:
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-            v.append(Violation(name, f"must be a finite number, got {val!r}"))
-        elif val < 0:
-            v.append(Violation(name, f"must be non-negative, got {val!r}"))
-    for name, val in [("charge_l1", config.charge_l1), ("charge_l2", config.charge_l2)]:
-        if isinstance(val, bool) or not isinstance(val, int):
-            v.append(Violation(name, f"topological charge must be an integer, got {val!r}"))
-    for name, val in [("detuning1", config.detuning1), ("detuning2", config.detuning2.value)]:
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
-            v.append(Violation(name, f"must be a finite number, got {val!r}"))
+    for _, attr, check in FIELDS:
+        val = getattr(config, attr)
+        msg = None if val is None and attr == "drive2_wavelength" else _check(check, val)
+        if msg:
+            v.append(Violation(attr, msg))
+    msg = _check("finite", config.detuning2.value)
+    if msg:
+        v.append(Violation("detuning2", msg))
     return v
 
 
@@ -187,8 +181,6 @@ def derive_params(config: SystemConfig) -> SystemParams:
     ConfigError
         if `validate(config)` reports any violation.
     """
-    from .errors import ConfigError
-
     violations = validate(config)
     if violations:
         raise ConfigError(violations)
@@ -227,27 +219,11 @@ def derive_params(config: SystemConfig) -> SystemParams:
 
 def canonical_dict(config: SystemConfig) -> dict:
     """Canonical key/value form of all physical inputs, SI units."""
-    d = {
-        "mirror_radius_m": float(config.mirror_radius),
-        "mirror_mass_kg": float(config.mirror_mass),
-        "rotation_frequency_rad_s": float(config.rotation_frequency),
-        "quality_factor": float(config.quality_factor),
-        "cavity_length_m": float(config.cavity_length),
-        "finesse_1": float(config.finesse1),
-        "finesse_2": float(config.finesse2),
-        "drive1_power_w": float(config.drive1_power),
-        "drive2_power_w": float(config.drive2_power),
-        "probe_power_w": float(config.probe_power),
-        "drive1_wavelength_m": float(config.drive1_wavelength),
-        "drive2_wavelength_m": float(config.wavelength2),
-        "detuning1_rad_s": float(config.detuning1),
-        "charge_l1": int(config.charge_l1),
-        "charge_l2": int(config.charge_l2),
-    }
-    if config.detuning2.mode == "effective":
-        d["detuning2_effective_rad_s"] = float(config.detuning2.value)
-    else:
-        d["detuning2_bare_rad_s"] = float(config.detuning2.value)
+    d = {}
+    for key, attr, check in FIELDS:
+        val = config.wavelength2 if attr == "drive2_wavelength" else getattr(config, attr)
+        d[key] = int(val) if check == "integer" else float(val)
+    d[f"detuning2_{config.detuning2.mode}_rad_s"] = float(config.detuning2.value)
     return d
 
 
@@ -272,13 +248,9 @@ def config_from_dict(raw: dict) -> SystemConfig:
     exclusivity of the two detuning-2 specifications are enforced here;
     everything else is left to `validate`.
     """
-    from .errors import ConfigError
-
-    violations = []
-    unknown = sorted(set(raw) - set(CONFIG_KEYS))
-    for key in unknown:
-        violations.append(Violation(key, "unknown configuration key"))
-    if "detuning2_effective_rad_s" in raw and "detuning2_bare_rad_s" in raw:
+    keys = {key for key, _, _ in FIELDS} | set(DETUNING2_KEYS)
+    violations = [Violation(key, "unknown configuration key") for key in sorted(set(raw) - keys)]
+    if DETUNING2_KEYS.keys() <= raw.keys():
         violations.append(
             Violation("detuning2", "give either detuning2_effective_rad_s or detuning2_bare_rad_s, not both")
         )
@@ -286,27 +258,24 @@ def config_from_dict(raw: dict) -> SystemConfig:
         raise ConfigError(violations)
 
     kwargs = {}
-    for key, attr in CONFIG_KEYS.items():
-        if attr is None or key not in raw:
+    for key, attr, check in FIELDS:
+        if key not in raw:
             continue
         val = raw[key]
-        if key in ("charge_l1", "charge_l2"):
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                violations.append(Violation(key, f"topological charge must be an integer, got {val!r}"))
-                continue
-            if isinstance(val, float):
-                if not val.is_integer():
-                    violations.append(Violation(key, f"topological charge must be an integer, got {val!r}"))
-                    continue
+        if check == "integer":
+            if isinstance(val, float) and val.is_integer():
                 val = int(val)
+            msg = _check(check, val)
+            if msg:
+                violations.append(Violation(key, msg))
+                continue
         kwargs[attr] = val
     if violations:
         raise ConfigError(violations)
 
-    if "detuning2_bare_rad_s" in raw:
-        kwargs["detuning2"] = Detuning2Spec("bare", float(raw["detuning2_bare_rad_s"]))
-    elif "detuning2_effective_rad_s" in raw:
-        kwargs["detuning2"] = Detuning2Spec("effective", float(raw["detuning2_effective_rad_s"]))
+    for key, mode in DETUNING2_KEYS.items():
+        if key in raw:
+            kwargs["detuning2"] = Detuning2Spec(mode, float(raw[key]))
     return SystemConfig(**kwargs)
 
 
@@ -315,9 +284,7 @@ def load_config(path) -> SystemConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
-        from .errors import ConfigError
-
-        raise ConfigError([Violation("<document>", "config file must contain a single JSON object")])
+            raise ConfigError([Violation("<document>", "config file must contain a single JSON object")])
     return config_from_dict(raw)
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystem
-from .params import SystemParams
+from .errors import ConfigError, SingularSystem
+from .params import SystemParams, Violation
 from .steady import SteadyState
 
 _log = logging.getLogger(__name__)
@@ -178,20 +178,27 @@ def closed_form_c1p(params: SystemParams, steady: SteadyState, omega: float) -> 
     return -1j * params.eps_p * num / den
 
 
-def transmission(params: SystemParams, c1_plus: complex, eps_p: float | None = None) -> float:
-    """Probe transmission T = |1 - 2*kappa1*c1+/eps_p|^2.
+def probe_amplitude(params: SystemParams) -> float:
+    """eps_p; raises ConfigError naming probe_power unless it is positive (no probe, no T)."""
+    if not params.eps_p > 0:
+        raise ConfigError([Violation(
+            "probe_power", f"must be positive to measure the transmission, got {params.config.probe_power!r}"
+        )])
+    return params.eps_p
 
-    Independent of the absolute probe scale because c1+ is proportional to
-    eps_p in the linearized regime.
+
+def transmission(params: SystemParams, c1_plus):
+    """Probe transmission T = |1 - 2*kappa1*c1+/eps_p|^2 for one c1+ or an array.
+
+    The package's only output relation.  Independent of the absolute probe
+    scale because c1+ is proportional to eps_p in the linearized regime.
     """
-    if eps_p is None:
-        eps_p = params.eps_p
-    if not eps_p > 0:
-        raise ValueError("probe amplitude must be positive")
-    t = abs(1.0 - 2.0 * params.kappa1 * c1_plus / eps_p) ** 2
-    if t > GAIN_FLOOR:
-        _log.info("probe gain regime: T = %.6e", t)
-    return t
+    ts = np.abs(1.0 - 2.0 * params.kappa1 * c1_plus / probe_amplitude(params)) ** 2
+    n_gain = int(np.count_nonzero(ts > GAIN_FLOOR))
+    if n_gain:
+        _log.info("probe gain regime at %d of %d detunings (max T = %.6e)",
+                  n_gain, np.size(ts), float(np.max(ts)))
+    return ts if isinstance(ts, np.ndarray) else float(ts)
 
 
 def transmission_at(params: SystemParams, steady: SteadyState, omega: float) -> float:
@@ -246,11 +253,5 @@ def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarra
 
 
 def transmission_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarray:
-    """Vectorized T(Omega): every T evaluation in the package goes through here."""
-    c1p = c1_plus_many(params, steady, omegas)
-    ts = np.abs(1.0 - 2.0 * params.kappa1 * c1p / params.eps_p) ** 2
-    n_gain = int(np.count_nonzero(ts > GAIN_FLOOR))
-    if n_gain:
-        _log.info("probe gain regime at %d of %d detunings (max T = %.6e)",
-                  n_gain, len(ts), float(ts.max()))
-    return ts
+    """Vectorized T(Omega): the eliminated kernel's c1+ through `transmission`."""
+    return transmission(params, c1_plus_many(params, steady, omegas))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DipTooShallow, Multistable, NoConvergence, NoInteriorMinimum, SingularSystem
+from .errors import DipTooShallow, NoInteriorMinimum, PointFailure
 from .params import Detuning2Spec, SystemConfig, SystemParams, fingerprint
 from .response import TransmissionPoint, transmission_many
 from .steady import SteadyState, operating_point
@@ -303,6 +303,6 @@ def shift_distance(
         cfg = replace(params_template.config, charge_l1=l1, detuning2=Detuning2Spec("effective", float(d2)))
         try:
             rows.append((d2 / params_template.omega_phi, charge_step_shift(cfg, window), True))
-        except (Multistable, NoInteriorMinimum, DipTooShallow, NoConvergence, SingularSystem):
+        except PointFailure:
             rows.append((d2 / params_template.omega_phi, float("nan"), False))
     return rows

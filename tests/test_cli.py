@@ -394,6 +394,32 @@ def test_validate_strong_probe_breakdown(tmp_path, capsys):
     assert "PoorFit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["spectrum", "-n", "11"], 2),
+        (["calibrate", "--l-min", "1", "--l-max", "2"], 2),
+        (["sweep", "--axis", "drive2-power", "--start", "0", "--stop", "0.1", "-n", "3",
+          "--observable", "resonance-transmission"], 2),
+        (["sweep", "--axis", "charge-l1", "--start", "1", "--stop", "3", "-n", "3",
+          "--observable", "x-star"], 2),
+        (["validate", "-n", "1"], 2),
+        (["sweep", "--axis", "charge-l1", "--start", "1", "--stop", "3", "-n", "3",
+          "--observable", "detuning"], 0),
+    ],
+)
+def test_zero_probe_power_refused_where_t_is_measured(tmp_path, capsys, argv, code):
+    cfg = write_config(tmp_path / "config.json", probe_power_w=0.0)
+    out = tmp_path / "out.csv"
+    outputs = [] if argv[0] == "validate" else ["--out", str(out)]
+    assert main([argv[0], "--config", cfg, *argv[1:], *outputs]) == code
+    if code == 0:
+        assert out.exists()
+    else:
+        assert capsys.readouterr().err.startswith("ConfigError: probe_power: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
 def test_validate_multistable_exit_3(capsys):
     assert main(["validate", "--config", BISTABLE_DEMO, "-n", "1"]) == 3
     assert capsys.readouterr().err.startswith("Multistable: 3 coexisting steady states")
@@ -424,6 +450,21 @@ def test_error_exit_codes_match_documented_table():
     special = {"ConfigError": 2, "Multistable": 3, "OutOfRange": 5, "FingerprintMismatch": 6}
     for name, cls in classes.items():
         assert cls.exit_code == special.get(name, 4), name
+
+
+def _readme_exit_codes() -> dict[str, int]:
+    """Error class name -> exit code, read from the exit-code table in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {}
+    for m in re.finditer(r"^\| (\d) \|(.*)$", readme, re.MULTILINE):
+        for word in re.findall(r"`(\w+)`", m.group(2)):
+            if isinstance(getattr(oamcavity, word, None), type):
+                table[word] = int(m.group(1))
+    return table
+
+
+def test_readme_exit_codes_match_docstring_table():
+    assert _readme_exit_codes() == _documented_exit_codes()
 
 
 def test_console_script_installed():

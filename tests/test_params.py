@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,10 @@ from oamcavity import (
     default_config,
     derive_params,
     fingerprint,
+    load_config,
     validate,
 )
+from oamcavity.params import FIELDS
 
 C = 299792458.0
 
@@ -154,6 +157,21 @@ def test_fingerprint_stability_and_sensitivity():
     assert fingerprint(default_config(charge_l1=3), mask_charge_l1=True) == fingerprint(
         default_config(charge_l1=-9), mask_charge_l1=True
     )
+
+
+def test_fingerprints_pinned():
+    # saved calibration files carry these; a change here orphans every one of them
+    assert fingerprint(default_config()) == "7cc7af2e0237091e9ae203e70798d2ac7834923cb5b3e0d13edccc08a5354568"
+    assert fingerprint(default_config(), mask_charge_l1=True) == (
+        "26796c251363d9d80302656ad484fd3f82e19aa2eabc03b5eea9477ad508d75d"
+    )
+    highres = Path(__file__).resolve().parents[1] / "configs" / "calibration_highres.json"
+    assert fingerprint(load_config(highres)) == "2cfd34fd0d4f6dc7639c6837cf98ce2cfbe96c94a7415d92495ac85251d1f467"
+
+
+def test_field_table_covers_every_config_attribute():
+    attrs = [attr for _, attr, _ in FIELDS]
+    assert sorted(attrs) == sorted(f.name for f in dataclasses.fields(SystemConfig) if f.name != "detuning2")
 
 
 def test_constants_recorded():
