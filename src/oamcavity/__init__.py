@@ -39,6 +39,7 @@ from .oracle import (
     Trajectory,
     demodulate,
     integrate_mean_field,
+    sideband_oracle,
     transmission_oracle,
 )
 from .params import (
@@ -57,7 +58,6 @@ from .params import (
 )
 from .response import (
     ProbeResponse,
-    TransmissionPoint,
     closed_form_c1p,
     sideband_response,
     transmission,

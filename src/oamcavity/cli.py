@@ -10,7 +10,7 @@ Exit codes (frozen for scripting).  Each error class carries its own as
 ``exit_code``; ``main`` maps any OamCavityError to it:
     0  success
     2  configuration invalid: ConfigError, a missing or malformed config
-       file, an invalid range or --branch on the command line
+       or calibration file, an invalid range or --branch on the command line
     3  multistable steady state and no --branch given: Multistable
     4  numeric failure: every other OamCavityError (NoConvergence,
        SingularSystem, NoInteriorMinimum, DipTooShallow, their base class
@@ -43,7 +43,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from datetime import datetime, timezone
 
@@ -65,7 +64,7 @@ from .oam import (
     load_calibration,
     save_calibration,
 )
-from .oracle import default_t_end, demodulate, integrate_mean_field
+from .oracle import default_t_end, sideband_oracle
 from .params import Detuning2Spec, canonical_dict, derive_params, fingerprint, load_config
 from .response import probe_amplitude, sideband_response, transmission_at
 from .spectrum import DEFAULT_WINDOW, charge_step_shift, find_valley, sample_spectrum
@@ -306,9 +305,7 @@ def cmd_validate(args) -> int:
     print(f"probe amplitude scale: eps_p_eff = {args.probe_scale:g} * eps1, t_end = {t_end:.3e} s")
     for x in xs:
         omega = params.omega_phi * (1.0 + x)
-        traj = integrate_mean_field(params, bare, start, t_end, omega, eps_p_scale=probe_scale)
-        window = (t_end - 21.0 * 2.0 * math.pi / omega, t_end)
-        demod = demodulate(traj, omega, window)
+        demod = sideband_oracle(params, bare, omega, start, t_end, probe_scale)
         analytic = sideband_response(params, steady, omega).c1_plus * probe_scale
         rel = abs(demod.c1_plus_est - analytic) / abs(analytic)
         worst = max(worst, rel)

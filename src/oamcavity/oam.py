@@ -14,18 +14,20 @@ from dataclasses import dataclass, replace
 
 from .errors import (
     CalibrationError,
+    ConfigError,
     ModelNotInvertible,
     Multistable,
     NoInteriorMinimum,
     OutOfRange,
     PointFailure,
 )
-from .params import SystemParams, fingerprint
+from .params import SystemParams, Violation, fingerprint
 from .spectrum import DEFAULT_WINDOW, find_valley
 from .steady import operating_point
 
 CALIBRATION_FORMAT = "oamcavity-calibration-v1"
 MAX_FAILURE_FRACTION = 0.10
+AMBIGUITY_RADIUS = 0.5  # in linewidths of the other charge's valley
 
 
 @dataclass(frozen=True)
@@ -153,26 +155,23 @@ def detuning_curve(params_template: SystemParams, l_min: int, l_max: int):
     return rows
 
 
-def estimate_oam(
-    curve: CalibrationCurve,
-    x_measured: float,
-    ambiguity_radius_factor: float = 0.5,
-) -> OamEstimate:
+def estimate_oam(curve: CalibrationCurve, x_measured: float) -> OamEstimate:
     """Invert a measured valley position to the nearest calibrated charge.
 
     Nearest-entry lookup (exact on calibration points, robust to curvature
     at large |l1|).  Charges whose calibrated position lies within
-    `ambiguity_radius_factor * fwhm` of the measurement are listed as
-    ambiguous.
+    AMBIGUITY_RADIUS * fwhm of the measurement are listed as ambiguous.
 
     Raises
     ------
     ModelNotInvertible
-        when the curve is not strictly monotone.
+        when the curve has fewer than two entries or is not strictly monotone.
     OutOfRange
         when x_measured lies beyond the curve's extremes by more than one
         inter-entry step.
     """
+    if len(curve.entries) < 2:
+        raise ModelNotInvertible(f"calibration curve has {len(curve.entries)} entries, need at least 2")
     if not curve.monotone:
         raise ModelNotInvertible("calibration curve is not strictly monotone in charge")
     entries = sorted(curve.entries, key=lambda e: e.x_star)
@@ -189,7 +188,7 @@ def estimate_oam(
     for e in curve.entries:
         if e.charge == best.charge:
             continue
-        radius = ambiguity_radius_factor * (e.fwhm if e.fwhm is not None else 0.0)
+        radius = AMBIGUITY_RADIUS * (e.fwhm if e.fwhm is not None else 0.0)
         if abs(e.x_star - x_measured) <= radius:
             ambiguous.append(e.charge)
     return OamEstimate(
@@ -218,23 +217,29 @@ def save_calibration(curve: CalibrationCurve, path) -> None:
 
 
 def load_calibration(path) -> CalibrationCurve:
+    """Read a `save_calibration` file; any other document raises ConfigError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != CALIBRATION_FORMAT:
-        raise ValueError(f"not a calibration file: format={doc.get('format')!r}")
-    entries = tuple(
-        CalibrationEntry(charge=int(e["charge"]), x_star=float(e["x_star"]), fwhm=e["fwhm"])
-        for e in doc["entries"]
-    )
-    lf = doc.get("lin_fit")
-    lin_fit = None if lf is None else (lf["slope"], lf["intercept"], lf["r_squared"])
-    return CalibrationCurve(
-        entries=entries,
-        params_fingerprint=doc["params_fingerprint"],
-        monotone=bool(doc["monotone"]),
-        lin_fit=lin_fit,
-        failures=tuple((f["charge"], f["reason"]) for f in doc.get("failures", [])),
-    )
+    try:
+        if doc.get("format") != CALIBRATION_FORMAT:
+            raise ValueError(f"not a calibration file: format={doc.get('format')!r}")
+        entries = tuple(
+            CalibrationEntry(charge=int(e["charge"]), x_star=float(e["x_star"]),
+                             fwhm=None if e["fwhm"] is None else float(e["fwhm"]))
+            for e in doc["entries"]
+        )
+        lf = doc.get("lin_fit")
+        lin_fit = None if lf is None else (lf["slope"], lf["intercept"], lf["r_squared"])
+        return CalibrationCurve(
+            entries=entries,
+            params_fingerprint=doc["params_fingerprint"],
+            monotone=bool(doc["monotone"]),
+            lin_fit=lin_fit,
+            failures=tuple((f["charge"], f["reason"]) for f in doc.get("failures", [])),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        reason = f"missing key {err}" if isinstance(err, KeyError) else str(err)
+        raise ConfigError([Violation(f"calibration {path}", reason)]) from None
 
 
 def check_fingerprint(curve: CalibrationCurve, params: SystemParams) -> bool:

@@ -5,7 +5,8 @@ term and every nonlinear product retained, from bare detunings (the
 effective ones must come out, not go in).  A lock-in style projection of
 the settled tail onto {1, e^{-i*Omega*t}, e^{+i*Omega*t}} then extracts
 the dc amplitude and the two probe sidebands independently of any
-linearization.
+linearization; `sideband_oracle` is that measurement, integration and
+window rule in one place.
 
 The integrator is an in-package Dormand-Prince 5(4) stepper over six
 plain floats that keeps the step control of scipy's RK45 method (same
@@ -39,6 +40,7 @@ MIN_PERIODS = 10
 _SAMPLES_PER_PERIOD = 32
 _MAX_SAMPLES = 65536
 _SPLINE_MARGIN = 16  # trajectory samples fitted beyond each end of the demodulation window
+WINDOW_PERIODS = 21  # beat periods before t_end that `sideband_oracle` demodulates
 
 # Dormand-Prince 5(4) tableau (J. Comput. Appl. Math. 6, 19 (1980)): nodes,
 # stage weights, the 5th-order solution weights and the error weights
@@ -468,41 +470,39 @@ def demodulate(trajectory: Trajectory, omega: float, window: tuple[float, float]
     )
 
 
+def sideband_oracle(
+    params: SystemParams,
+    bare_detunings: tuple[float, float],
+    omega: float,
+    initial_state=None,
+    t_end: float | None = None,
+    eps_p_scale: float = 1.0,
+) -> DemodulationResult:
+    """The oracle's sideband measurement: integrate to `t_end`, demodulate its last beat periods.
+
+    `t_end` defaults to `default_t_end`; the window is the last
+    WINDOW_PERIODS beat periods 2*pi/omega before it.  The other arguments
+    are those of `integrate_mean_field`.
+    """
+    if t_end is None:
+        t_end = default_t_end(params)
+    traj = integrate_mean_field(params, bare_detunings, initial_state, t_end, omega,
+                                eps_p_scale=eps_p_scale)
+    return demodulate(traj, omega, (t_end - WINDOW_PERIODS * 2.0 * math.pi / omega, t_end))
+
+
 def transmission_oracle(
     params: SystemParams,
     bare_detunings: tuple[float, float],
     omega: float,
     t_end: float | None = None,
-    tol: float = DEFAULT_TOL,
-    n_periods: int = 20,
     initial_state=None,
 ) -> float:
-    """End-to-end oracle transmission: integrate, demodulate, apply the output relation.
+    """End-to-end oracle transmission: `sideband_oracle`'s c1+ through the output relation.
 
     With both drives on, fixed bare detunings can admit a dark root that a
     vacuum start relaxes to; pass the intended operating point as
     `initial_state` to probe a specific branch.
     """
-    if t_end is None:
-        t_end = default_t_end(params)
-    traj = integrate_mean_field(params, bare_detunings, initial_state, t_end, omega, tol=tol)
-    window = (t_end - (n_periods + 1) * 2.0 * math.pi / omega, t_end)
-    demod = demodulate(traj, omega, window)
+    demod = sideband_oracle(params, bare_detunings, omega, initial_state, t_end)
     return transmission(params, demod.c1_plus_est)
-
-
-def dump_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Debug dump: t, Re c1, Im c1, Re c2, Im c2, phi, dphi/dt."""
-    header = "t,re_c1,im_c1,re_c2,im_c2,phi,phi_dot"
-    data = np.column_stack(
-        [
-            trajectory.times,
-            trajectory.c1.real,
-            trajectory.c1.imag,
-            trajectory.c2.real,
-            trajectory.c2.imag,
-            trajectory.phi,
-            trajectory.phi_dot,
-        ]
-    )
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.16e")

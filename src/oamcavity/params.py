@@ -244,9 +244,9 @@ def fingerprint(config: SystemConfig, *, mask_charge_l1: bool = False) -> str:
 def config_from_dict(raw: dict) -> SystemConfig:
     """Build a SystemConfig from a canonical key/value mapping.
 
-    Unknown keys are a hard error.  Integrality of the charges and the
-    exclusivity of the two detuning-2 specifications are enforced here;
-    everything else is left to `validate`.
+    Unknown keys are a hard error.  Integrality of the charges, the
+    exclusivity of the two detuning-2 specifications and the finiteness of
+    the one given are enforced here; everything else is left to `validate`.
     """
     keys = {key for key, _, _ in FIELDS} | set(DETUNING2_KEYS)
     violations = [Violation(key, "unknown configuration key") for key in sorted(set(raw) - keys)]
@@ -270,12 +270,15 @@ def config_from_dict(raw: dict) -> SystemConfig:
                 violations.append(Violation(key, msg))
                 continue
         kwargs[attr] = val
-    if violations:
-        raise ConfigError(violations)
-
     for key, mode in DETUNING2_KEYS.items():
         if key in raw:
-            kwargs["detuning2"] = Detuning2Spec(mode, float(raw[key]))
+            msg = _check("finite", raw[key])
+            if msg:
+                violations.append(Violation(key, msg))
+            else:
+                kwargs["detuning2"] = Detuning2Spec(mode, float(raw[key]))
+    if violations:
+        raise ConfigError(violations)
     return SystemConfig(**kwargs)
 
 

@@ -13,8 +13,8 @@ from the solve; it is returned and checked rather than assumed.
 The hot path, `c1_plus_many`, eliminates the system exactly onto phi+
 (O(1) arithmetic per detuning); every T evaluation goes through it, via
 `transmission_many` or `transmission_at`.  The six-amplitude LU
-`sideband_response` is the reference: the tests compare the kernel with
-it and `validate` uses it, because it returns phi_- for the reality check.
+`sideband_response` is the reference: `validate` compares the oracle's
+c1+ with it, and the tests compare the kernel with it and check its phi_-.
 The closed-form single-amplitude expression (D1..D4 form) is a third,
 independent cross-check of c1+ only.
 """
@@ -52,13 +52,6 @@ class ProbeResponse:
     phi_plus: complex
     phi_minus_conj: complex
     condition_estimate: float
-
-
-@dataclass(frozen=True)
-class TransmissionPoint:
-    omega: float  # probe-drive detuning Omega [rad/s]
-    x: float  # (Omega - omega_phi)/omega_phi
-    transmission: float
 
 
 def _system_matrix(params: SystemParams, steady: SteadyState, omega: float):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DipTooShallow, NoInteriorMinimum, PointFailure
 from .params import Detuning2Spec, SystemConfig, SystemParams, fingerprint
-from .response import TransmissionPoint, transmission_many
+from .response import transmission_many
 from .steady import SteadyState, operating_point
 
 DEFAULT_WINDOW = (-0.2, 0.2)
@@ -22,19 +22,16 @@ MAX_ABS_X = 2.0
 COARSE_POINTS = 1024
 REFINE_POINTS = 65  # per refinement round; each round shrinks the bracket 32-fold
 X_TOL = 1e-9
+FWHM_POINTS = 2048  # samples per linewidth window
 DEPTH_FLOOR = 1e-3
 #: curvature floor in eps*T_min, 4x the +-14 eps*T that rounding alone reaches
 #: on flat stretches of the shipped configs; real dips clear it by nine orders
 CURVATURE_FLOOR_EPS = 64.0
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """A sampled transmission spectrum held as equal-length, read-only float arrays.
-
-    Built from arrays (copied) or, with ``points=``, from a sequence of
-    `TransmissionPoint`; `points` gives that per-sample view back.
-    """
+    """A sampled transmission spectrum held as equal-length, read-only float arrays (copied in)."""
 
     omegas: np.ndarray  # probe-drive detunings Omega [rad/s]
     xs: np.ndarray
@@ -42,23 +39,11 @@ class Spectrum:
     params_fingerprint: str
     branch_tag: str
 
-    def __init__(self, points=None, *, params_fingerprint: str, branch_tag: str,
-                 omegas=None, xs=None, transmissions=None):
-        if points is not None:
-            rows = [(p.omega, p.x, p.transmission) for p in points]
-            omegas, xs, transmissions = np.array(rows).reshape(-1, 3).T
-        for name, values in (("omegas", omegas), ("xs", xs), ("transmissions", transmissions)):
-            arr = np.array(values, dtype=float)
+    def __post_init__(self):
+        for name in ("omegas", "xs", "transmissions"):
+            arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "params_fingerprint", params_fingerprint)
-        object.__setattr__(self, "branch_tag", branch_tag)
-
-    @property
-    def points(self) -> tuple[TransmissionPoint, ...]:
-        return tuple(
-            map(TransmissionPoint, self.omegas.tolist(), self.xs.tolist(), self.transmissions.tolist())
-        )
 
 
 @dataclass(frozen=True)
@@ -224,12 +209,7 @@ def _half_depth_width(xs: np.ndarray, ts: np.ndarray, x_star: float, t_min: floa
     return cross(hi, hi + 1) - cross(lo + 1, lo)
 
 
-def _measure_fwhm(
-    params: SystemParams,
-    steady: SteadyState,
-    valley: ValleyReport,
-    n: int = 2048,
-) -> float:
+def _measure_fwhm(params: SystemParams, steady: SteadyState, valley: ValleyReport) -> float:
     """Adaptive local linewidth: grow a sampling window around the dip.
 
     Starting narrow guarantees the dip is always well resolved; the window
@@ -238,7 +218,7 @@ def _measure_fwhm(
     the outer-sample baseline is trustworthy.
     """
     def attempt(width: float) -> float:
-        xs = np.linspace(valley.x_star - width, valley.x_star + width, n)
+        xs = np.linspace(valley.x_star - width, valley.x_star + width, FWHM_POINTS)
         ts = transmission_many(params, steady, params.omega_phi * (1.0 + xs))
         return _half_depth_width(xs, ts, valley.x_star, valley.t_min)
 

@@ -33,13 +33,12 @@ _POWER_STEPS = 16
 class SteadyState:
     """One self-consistent operating point.
 
-    phi/L_z in rad and kg*m^2*rad/s (L_z is always 0 in steady state);
+    phi in rad (the mirror is at rest, so its angular momentum is 0);
     c1/c2 are complex amplitudes in sqrt(photons); delta1/delta2 the
     effective detunings in rad/s; n1/n2 intracavity photon numbers.
     """
 
     phi: float
-    L_z: float
     c1: complex
     c2: complex
     delta1: float
@@ -113,7 +112,6 @@ def _state_at(params: SystemParams, phi: float, branch_tag: str) -> SteadyState:
     c2 = params.eps2 / complex(params.kappa2, d2)
     return SteadyState(
         phi=phi,
-        L_z=0.0,
         c1=c1,
         c2=c2,
         delta1=d1,

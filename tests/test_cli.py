@@ -274,6 +274,40 @@ def test_estimate_non_monotone_exit_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ModelNotInvertible: ")
 
 
+@pytest.mark.parametrize(
+    "edit, drop, code, err_start",
+    [
+        ({"format": "oamcavity-calibration-v0"}, (), 2, "ConfigError: calibration "),
+        ({}, ("entries",), 2, "ConfigError: calibration "),
+        ({"entries": [{"charge": 0, "x_star": 0.0, "fwhm": "x"}] * 2}, (), 2, "ConfigError: calibration "),
+        ({"entries": [{"charge": 0, "x_star": 0.0, "fwhm": None}]}, (), 4, "ModelNotInvertible: "),
+    ],
+    ids=["wrong-format", "missing-entries", "non-numeric-fwhm", "one-entry-monotone"],
+)
+def test_estimate_malformed_calibration(tmp_path, capsys, edit, drop, code, err_start):
+    cal = tmp_path / "cal.json"
+    doc = json.loads(Path(synthetic_calibration(cal)).read_text())
+    doc.update(edit)
+    for key in drop:
+        del doc[key]
+    cal.write_text(json.dumps(doc))
+    assert main(["estimate", "--calibration", str(cal), "--x-measured", "0.01"]) == code
+    assert capsys.readouterr().err.startswith(err_start)
+
+
+@pytest.mark.parametrize("value", ["x", None, [1], "1e3", True])
+def test_bad_detuning2_value_exit_2(tmp_path, capsys, value):
+    doc = {k: v for k, v in BASE.items() if k != "detuning2_effective_rad_s"}
+    doc["detuning2_bare_rad_s"] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["sweep", "--config", str(cfg), "--axis", "drive2-power", "--start", "0",
+                 "--stop", "0.1", "-n", "3", "--observable", "detuning",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("ConfigError: detuning2_bare_rad_s: ")
+
+
 def test_sweep_negative_drive2_power_exit_2(tmp_path, config_path, capsys):
     code = main(["sweep", "--config", config_path, "--axis", "drive2-power",
                  "--start", "-0.1", "--stop", "0.1", "-n", "3", "--observable", "detuning",

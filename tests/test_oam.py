@@ -3,6 +3,7 @@ import math
 import pytest
 
 from oamcavity import (
+    ConfigError,
     ModelNotInvertible,
     OutOfRange,
     build_calibration,
@@ -78,7 +79,7 @@ def test_calibration_persistence_round_trip(tmp_path):
 def test_load_rejects_foreign_json(tmp_path):
     path = tmp_path / "not_cal.json"
     path.write_text('{"something": 1}')
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="not_cal.json"):
         load_calibration(path)
 
 

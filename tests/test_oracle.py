@@ -23,9 +23,11 @@ from oamcavity import (
     load_config,
     operating_point,
     solve_steady,
+    transmission,
     transmission_at,
     transmission_oracle,
 )
+from oamcavity import oracle
 from oamcavity.oracle import default_t_end
 
 
@@ -100,19 +102,6 @@ def test_demodulate_flags_higher_harmonics():
                       phi=np.zeros_like(ts), phi_dot=np.zeros_like(ts), stats={})
     with pytest.raises(PoorFit):
         demodulate(traj, om, (ts[0], ts[-1]))
-
-
-@pytest.mark.slow
-def test_trajectory_csv_dump(tmp_path):
-    from oamcavity.oracle import dump_trajectory_csv
-
-    p = derive_params(default_config(drive1_power=1e-6, drive2_power=0.0, probe_power=0.0))
-    traj = integrate_mean_field(p, (p.detuning1, 0.0), None, 1e-7, p.omega_phi)
-    out = tmp_path / "traj.csv"
-    dump_trajectory_csv(traj, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,re_c1,im_c1,re_c2,im_c2,phi,phi_dot"
-    assert len(lines) == len(traj.times) + 1
 
 
 def test_default_t_end_capped():
@@ -219,6 +208,27 @@ def test_transmission_oracle_decoupled_is_unity():
                                      drive2_power=0.0, probe_power=1e-8))
     t = transmission_oracle(p, (p.detuning1, 0.0), p.omega_phi * 1.001, t_end=4e-5)
     assert t == pytest.approx(1.0, abs=1e-6)
+
+
+def test_sideband_oracle_window_rule(monkeypatch):
+    """`sideband_oracle` demodulates the last 21 beat periods before t_end, bit for bit,
+    and `transmission_oracle` is the output relation applied to its c1+."""
+    p = derive_params(default_config(charge_l1=0, charge_l2=0, drive1_power=1e-6,
+                                     drive2_power=0.0, probe_power=1e-8))
+    bare, omega, t_end = (p.detuning1, 0.0), p.omega_phi * 1.001, 4e-5
+    traj = integrate_mean_field(p, bare, None, t_end, omega)
+    want = demodulate(traj, omega, (t_end - 21 * 2 * math.pi / omega, t_end))
+    got = []
+    measure = oracle.sideband_oracle
+
+    def recorded(*args, **kwargs):  # one integration serves both checks
+        got.append(measure(*args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(oracle, "sideband_oracle", recorded)
+    t = transmission_oracle(p, bare, omega, t_end=t_end)
+    assert got == [want]
+    assert t == transmission(p, want.c1_plus_est)
 
 
 @pytest.mark.slow

@@ -144,7 +144,7 @@ def test_singular_system_guard(weak_dark):
     # mechanical resonance zeroes both mechanical rows
     p0 = dataclasses.replace(p, g1=0.0, g2=0.0, gamma_phi=0.0)
     st = SteadyState(
-        phi=0.0, L_z=0.0, c1=0j, c2=0j,
+        phi=0.0, c1=0j, c2=0j,
         delta1=p.detuning1, delta2=0.0, n1=0.0, n2=0.0,
         residual=0.0, branch_tag="selected",
     )

@@ -21,7 +21,6 @@ from oamcavity import (
 )
 from oamcavity.params import Detuning2Spec, load_config
 from oamcavity.response import (
-    TransmissionPoint,
     closed_form_c1p,
     transmission,
     transmission_at,
@@ -34,9 +33,8 @@ from oamcavity.steady import operating_point
 def synthetic_lorentzian_spectrum(kappa_t, x0, depth, x_lo, x_hi, n):
     xs = np.linspace(x_lo, x_hi, n)
     ts = 1.0 - depth * kappa_t**2 / (kappa_t**2 + (xs - x0) ** 2)
-    pts = tuple(TransmissionPoint(omega=float(x), x=float(x), transmission=float(t))
-                for x, t in zip(xs, ts))
-    return Spectrum(points=pts, params_fingerprint="synthetic", branch_tag="selected")
+    return Spectrum(omegas=xs, xs=xs, transmissions=ts, params_fingerprint="synthetic",
+                    branch_tag="selected")
 
 
 def test_sample_spectrum_validation(weak_dark):
@@ -48,34 +46,18 @@ def test_sample_spectrum_validation(weak_dark):
 
 
 def test_sample_spectrum_points_match_per_sample_build(weak_dark):
-    """`points` equals the per-sample tuple built from the same kernel output, bit for bit."""
+    """The arrays equal the grid, its detunings and the kernel output, bit for bit."""
     p, st = weak_dark
     xs = np.linspace(-0.01, 0.01, 257)
     omegas = p.omega_phi * (1.0 + xs)
-    want = tuple(TransmissionPoint(omega=float(om), x=float(x), transmission=float(t))
-                 for om, x, t in zip(omegas, xs, transmission_many(p, st, omegas)))
-    got = sample_spectrum(p, st, -0.01, 0.01, 257).points
-
-    def bits(points):
-        return [(pt.omega.hex(), pt.x.hex(), pt.transmission.hex()) for pt in points]
-
-    assert bits(got) == bits(want)
-
-
-def test_spectrum_from_points_matches_array_form():
-    xs = np.linspace(-0.02, 0.02, 101)
-    ts = 1.0 - 0.5 / (1.0 + (xs / 1e-3) ** 2)
-    omegas = 6.0e7 * (1.0 + xs)
-    pts = tuple(TransmissionPoint(omega=float(om), x=float(x), transmission=float(t))
-                for om, x, t in zip(omegas, xs, ts))
-    from_points = Spectrum(points=pts, params_fingerprint="synthetic", branch_tag="selected")
+    ts = transmission_many(p, st, omegas)
+    got = sample_spectrum(p, st, -0.01, 0.01, 257)
+    for name, want in (("omegas", omegas), ("xs", xs), ("transmissions", ts)):
+        assert [v.hex() for v in getattr(got, name).tolist()] == [v.hex() for v in want.tolist()], name
     from_arrays = Spectrum(omegas=omegas, xs=xs, transmissions=ts,
                            params_fingerprint="synthetic", branch_tag="selected")
-    for name in ("omegas", "xs", "transmissions"):
-        assert np.array_equal(getattr(from_points, name), getattr(from_arrays, name)), name
-    assert from_arrays.points == pts
     xs[0] = 1.0  # the spectrum holds its own read-only copy
-    assert from_arrays.xs[0] == -0.02
+    assert from_arrays.xs[0] == -0.01
     with pytest.raises(ValueError):
         from_arrays.transmissions[0] = 0.0
 
@@ -83,9 +65,9 @@ def test_spectrum_from_points_matches_array_form():
 def test_flat_spectrum_when_decoupled(decoupled):
     p, st = decoupled
     spec = sample_spectrum(p, st, -0.2, 0.2, 3)
-    assert len(spec.points) == 3
-    for pt in spec.points:
-        assert pt.transmission == pytest.approx(1.0, rel=1e-12)
+    assert len(spec.transmissions) == 3
+    for t in spec.transmissions:
+        assert t == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(NoInteriorMinimum):
         find_valley(p, st)
 
@@ -147,9 +129,8 @@ def test_linewidth_crossings_match_walked_reference():
              (one_sided, 0.0, 0.0)]
     cases += [(r, 0.0, r.min()) for r in 1.0 - np.abs(rng.standard_normal((20, len(xs))))]
     for ts, x_star, t_min in cases:
-        spec = Spectrum(points=tuple(TransmissionPoint(omega=float(x), x=float(x), transmission=float(t))
-                                     for x, t in zip(xs, ts)),
-                        params_fingerprint="synthetic", branch_tag="selected")
+        spec = Spectrum(omegas=xs, xs=xs, transmissions=ts, params_fingerprint="synthetic",
+                        branch_tag="selected")
         valley = ValleyReport(x_star=x_star, t_min=float(t_min), curvature_sign_ok=True, fwhm=None,
                               window=(-1.0, 1.0))
         try:

@@ -25,7 +25,6 @@ def test_undriven_cavity_trivial_root():
     assert not rep.multistable
     st = rep.selected
     assert st.phi == 0.0
-    assert st.L_z == 0.0
     assert st.c1 == 0 and st.c2 == 0
     assert st.delta1 == p.detuning1
     assert steady_residual(0.0, p) == 0.0
