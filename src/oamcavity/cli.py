@@ -75,20 +75,111 @@ EXIT_CONFIG = ConfigError.exit_code
 EXIT_MULTISTABLE = Multistable.exit_code
 EXIT_NUMERIC = OamCavityError.exit_code
 
+#: Rows formatted at a time, so no data file is held as one byte matrix.
+_BLOCK_ROWS = 4096
+#: Width of a formatted float, NUL-padded: len("-4.9406564584124654e-324").
+_SLOT = 24
+#: Relative precision of one long-double operation.  x87 extended (63
+#: fraction bits) and IEEE quad (112) round each operation once, if the
+#: arithmetic really carries those bits; any other long double counts as
+#: float64, where the tie test in `_float_slots` proves no value and every
+#: value goes through ``%``.
+_LD = np.finfo(np.longdouble)
+_LD_EPS = float(
+    _LD.eps if _LD.nmant in (63, 112) and np.longdouble(1) + _LD.eps > 1 else np.finfo(np.float64).eps
+)
+#: 10**0 .. 10**27, each exact in a 64-bit significand (5**27 < 2**64)
+_POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
+#: entry k holds the four ASCII digits of k, as the bytes of one uint32
+#: (built from uint8 grids, so import allocates no int64 temporaries)
+_DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+_DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+
+
+def _float_slots(v: np.ndarray) -> np.ndarray:
+    """``'%.16e' % x`` for each float64 x of `v`, as NUL-padded uint8 rows of `_SLOT`.
+
+    For decimal exponent E with |16 - E| <= 27, s = |x|*10**(16-E) is one
+    rounded long-double operation on exact operands, so it lies within
+    s*eps/2 of the exact value.  Where no half-integer lies within s*eps
+    of s and rint(s) is in [1e16, 1e17), rint(s) is the correctly rounded
+    17-digit mantissa.  Every value that test cannot prove (0, -0, nan,
+    inf, E out of range, near-ties, a rint of 1e17) is formatted by ``%``.
+    """
+    a = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.floor(np.log10(a))
+    ok = np.abs(e - 16) <= 27  # False for 0, nan and inf
+    e = np.where(ok, e, 16).astype(np.int64)
+    a = np.where(ok, a, 1e16).astype(np.longdouble)
+    p = _POW10[np.abs(16 - e)]
+    s = np.where(e <= 16, a * p, a / p)
+    m = np.rint(s)
+    # s - m is exact; s < 1e16 or m = 1e17 means log10 was one off, next to a power of ten
+    tie_distance = 0.5 - np.abs((s - m).astype(np.float64))
+    ok &= (s >= 1e16) & (m < 1e17) & (tie_distance > s.astype(np.float64) * _LD_EPS)
+    m = m.astype(np.int64)
+
+    out = np.zeros((len(v), _SLOT), np.uint8)
+    out[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    # numpy floor-divides by a constant fast and takes % slowly, so remainders are multiply-subtract
+    lead, m8 = m // 10**16, m // 10**8
+    halves = np.stack((m8 - lead * 10**8, m - m8 * 10**8), axis=1)
+    h4 = halves // 10**4
+    quads = np.stack((h4, halves - h4 * 10**4), axis=2).reshape(len(v), 4)
+    out[:, 1] = lead + ord("0")
+    out[:, 2] = ord(".")
+    out[:, 3:19] = _DIGITS4[quads].view(np.uint8)
+    out[:, 19] = ord("e")
+    out[:, 20] = np.where(e < 0, ord("-"), ord("+"))
+    out[:, 21:23] = _DIGITS4[np.abs(e)].view(np.uint8).reshape(-1, 4)[:, 2:]
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        text = np.array([b"%.16e" % x for x in v[bad].tolist()], dtype=f"S{_SLOT}")
+        out[bad] = text.view(np.uint8).reshape(-1, _SLOT)
+    return out
+
+
+def _column(c) -> np.ndarray:
+    """A float64 array for a float column, or a bytes array of its ``%d`` texts.
+
+    An ndarray is an int column when its dtype is integer or bool; any
+    other sequence when all its values are ints or bools.
+    """
+    if isinstance(c, np.ndarray):
+        is_int = c.dtype.kind in "biu"
+        c = c.tolist() if is_int else c
+    else:
+        c = list(c)
+        is_int = all(isinstance(v, int) for v in c)
+    if is_int:
+        return np.array([b"%d" % v for v in c], dtype=bytes)
+    return np.asarray(c, dtype=np.float64)
+
+
 def _write_csv(path, header: list[str], columns) -> None:
     """Write equal-length columns (numpy arrays or sequences) under `header`.
 
-    A column whose values (after ``tolist()`` for an array) are all ints or
-    bools is written as ``%d``, bools as 0/1; any other as ``%.16e``, 17
-    significant digits, round-trippable.  The body is one ``%`` pass.
+    Int and bool columns (see `_column`) are written as ``%d``, bools as
+    0/1; any other as ``%.16e``, 17 significant digits, round-trippable.
+    The bytes are those of ``'%.16e' % x``: `_float_slots` takes the digits
+    from one exactly rounded long-double scaling where it can prove them,
+    and formats every other value with ``%`` itself.  Rows are laid out in
+    blocks of `_BLOCK_ROWS` as fixed NUL-padded slots, NULs dropped.
     """
-    columns = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    row = ",".join("%d" if all(isinstance(v, int) for v in c) else "%.16e" for c in columns) + "\n"
-    values = [None] * sum(len(c) for c in columns)
-    for i, c in enumerate(columns):
-        values[i :: len(columns)] = c
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n" + row * len(columns[0]) % tuple(values))
+    columns = [_column(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, n, _BLOCK_ROWS):
+            parts = []
+            for c in columns:
+                block = c[start : start + _BLOCK_ROWS]
+                slots = _float_slots(block) if c.dtype == np.float64 else block.view(np.uint8)
+                parts += [slots.reshape(len(block), -1), np.full((len(block), 1), ord(","), np.uint8)]
+            parts[-1][:] = ord("\n")
+            rows = np.concatenate(parts, axis=1)
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _write_manifest(out_path, subcommand: str, flags: dict, config) -> None:

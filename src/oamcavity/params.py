@@ -58,9 +58,15 @@ def _check(check: str, val) -> str | None:
     if check == "integer":
         if isinstance(val, bool) or not isinstance(val, int):
             return f"topological charge must be an integer, got {val!r}"
-    elif not isinstance(val, (int, float)) or isinstance(val, bool) or not math.isfinite(val):
+    elif not isinstance(val, (int, float)) or isinstance(val, bool):
         return f"must be a finite number, got {val!r}"
-    elif check == "positive" and val <= 0:
+    try:
+        finite = math.isfinite(val)
+    except OverflowError:  # an int beyond the float range, such as a JSON 10**400
+        finite = False
+    if not finite:
+        return f"must be a finite number, got {val!r}"
+    if check == "positive" and val <= 0:
         return f"must be strictly positive, got {val!r}"
     elif check == "non-negative" and val < 0:
         return f"must be non-negative, got {val!r}"

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oamcavity
 from oamcavity import (
@@ -20,6 +22,7 @@ from oamcavity import (
     sample_spectrum,
     solve_steady,
 )
+from oamcavity import cli
 from oamcavity.cli import _write_csv, main
 from oamcavity.spectrum import DEFAULT_WINDOW
 
@@ -132,6 +135,70 @@ def test_write_csv_matches_row_by_row_reference(tmp_path):
         n = len(columns[0])
         want = _row_by_row_csv(header, list(zip(*(c[:n] for c in python))))
         assert out.read_bytes() == want.encode(), name
+
+
+def _percent_csv(columns) -> bytes:
+    """The bytes `_write_csv` must give for float columns: one ``%.16e`` per value."""
+    header = [f"c{i}" for i in range(len(columns))]
+    return _row_by_row_csv(header, list(zip(*(np.asarray(c).tolist() for c in columns)))).encode()
+
+
+def _adversarial_floats() -> np.ndarray:
+    """Values next to every decision `_float_slots` makes, and random bit patterns."""
+    rng = np.random.default_rng(14)
+    powers = np.array([10.0**k for k in range(-30, 41)])
+    ulps = (powers.view(np.int64)[:, None] + np.arange(-50, 51)).ravel().view(np.float64)
+    # exact 18-digit ties, x*10**(16-e) = n + 1/2: x = q*2**(e-17) with q odd and below 2**53
+    ties = [5.0 * (10**17 + 2 * j) for j in range(-20, 21)]
+    for e in range(-5, 15):
+        lo, hi = -(-2 * 10**16 // 5 ** (16 - e)), 2 * 10**17 // 5 ** (16 - e)
+        ties += [q * 2.0 ** (e - 17) for q in range(lo | 1, hi, max(2, (hi - lo) // 8 * 2))]
+    subnormals = rng.integers(1, 2**52, 200).view(np.float64)
+    specials = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-07,
+                math.nan, math.inf, -math.inf]
+    bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+    return np.concatenate([ulps, -ulps, ties, subnormals, -subnormals, specials, bits])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(width=64), max_size=40))
+def test_write_csv_floats_match_percent(tmp_path, values):
+    out = tmp_path / "p.csv"
+    _write_csv(out, ["c0", "c1"], [np.array(values, dtype=np.float64), values])
+    assert out.read_bytes() == _percent_csv([values, values])
+
+
+def test_write_csv_adversarial_floats_match_percent(tmp_path):
+    values = _adversarial_floats()
+    out = tmp_path / "a.csv"
+    _write_csv(out, ["c0"], [values])
+    assert out.read_bytes() == _percent_csv([values])
+    assert b"\n9.9999999999999995e-08\n" in out.read_bytes()
+
+
+def test_write_csv_at_float64_precision_formats_every_value_with_percent(tmp_path, monkeypatch):
+    # digits that no correct row holds: any value the kernel formatted would show them
+    monkeypatch.setattr(cli, "_LD_EPS", float(np.finfo(np.float64).eps))
+    monkeypatch.setattr(cli, "_DIGITS4", np.full_like(cli._DIGITS4, int.from_bytes(b"????", "little")))
+    values = np.concatenate([_adversarial_floats()[::7], np.linspace(-0.2, 0.2, 4001)])
+    out = tmp_path / "f.csv"
+    _write_csv(out, ["c0", "c1"], [values, values[::-1]])
+    assert out.read_bytes() == _percent_csv([values, values[::-1]])
+
+
+def test_write_csv_header_only(tmp_path):
+    for columns in ([np.array([]), np.array([], dtype=bool)], [[], ()], list(zip(*[]))):
+        out = tmp_path / "h.csv"
+        _write_csv(out, ["x", "T"], columns)
+        assert out.read_bytes() == b"x,T\n"
+
+
+def test_write_csv_array_kind_from_dtype(tmp_path):
+    out = tmp_path / "k.csv"
+    _write_csv(out, ["f", "i", "b"], [np.array([1.0, -2.0]), np.array([3, -4], dtype=np.int32),
+                                     np.array([True, False])])
+    assert out.read_text() == "f,i,b\n1.0000000000000000e+00,3,1\n-2.0000000000000000e+00,-4,0\n"
 
 
 def test_invalid_key_names_the_key(tmp_path, capsys):
@@ -306,6 +373,17 @@ def test_bad_detuning2_value_exit_2(tmp_path, capsys, value):
                  "--out", str(tmp_path / "s.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("ConfigError: detuning2_bare_rad_s: ")
+
+
+@pytest.mark.parametrize("key, field", [("mirror_mass_kg", "mirror_mass"),
+                                        ("detuning2_effective_rad_s", "detuning2_effective_rad_s")])
+def test_integer_beyond_float_range_exit_2(tmp_path, capsys, key, field):
+    cfg = write_config(tmp_path / "huge.json", **{key: 10**400})
+    code = main(["sweep", "--config", cfg, "--axis", "drive2-power", "--start", "0",
+                 "--stop", "0.1", "-n", "3", "--observable", "detuning",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"ConfigError: {field}: must be a finite number")
 
 
 def test_sweep_negative_drive2_power_exit_2(tmp_path, config_path, capsys):

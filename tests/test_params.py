@@ -19,7 +19,7 @@ from oamcavity import (
     load_config,
     validate,
 )
-from oamcavity.params import FIELDS
+from oamcavity.params import DETUNING2_KEYS, FIELDS
 
 C = 299792458.0
 
@@ -105,6 +105,13 @@ def test_detuning2_specs_are_exclusive():
         config_from_dict({"detuning2_effective_rad_s": 0.0, "detuning2_bare_rad_s": 1.0})
     cfg = config_from_dict({"detuning2_bare_rad_s": 5.0})
     assert cfg.detuning2 == Detuning2Spec("bare", 5.0)
+
+
+@pytest.mark.parametrize("key", [key for key, _, _ in FIELDS] + list(DETUNING2_KEYS))
+def test_integer_beyond_float_range_is_config_error(key):
+    with pytest.raises(ConfigError) as exc:
+        derive_params(config_from_dict({key: -(10**400)}))
+    assert "must be a finite number" in str(exc.value)
 
 
 def test_detuning2_mode_checked():
