@@ -11,6 +11,8 @@ Exit codes (frozen for scripting).  Each error class carries its own as
     0  success
     2  configuration invalid: ConfigError, a missing or malformed config
        or calibration file, an invalid range or --branch on the command line
+       (a sweep end that is not finite, a validate -n below 1 or a
+       --probe-scale that is not finite and positive)
     3  multistable steady state and no --branch given: Multistable
     4  numeric failure: every other OamCavityError (NoConvergence,
        SingularSystem, NoInteriorMinimum, DipTooShallow, their base class
@@ -55,7 +57,6 @@ from .errors import (
     Multistable,
     NoInteriorMinimum,
     OamCavityError,
-    PointFailure,
 )
 from .oam import (
     build_calibration,
@@ -65,9 +66,17 @@ from .oam import (
     save_calibration,
 )
 from .oracle import default_t_end, sideband_oracle
-from .params import Detuning2Spec, canonical_dict, derive_params, fingerprint, load_config
-from .response import probe_amplitude, sideband_response, transmission_at
-from .spectrum import DEFAULT_WINDOW, charge_step_shift, find_valley, sample_spectrum
+from .params import Violation, canonical_dict, derive_params, fingerprint, load_config
+from .response import probe_amplitude, sideband_response
+from .spectrum import (
+    DEFAULT_WINDOW,
+    SWEEP_AXES,
+    SWEEP_OBSERVABLES,
+    find_valley,
+    sample_spectrum,
+    sweep,
+    sweep_values,
+)
 from .steady import bare_detunings, operating_point, solve_steady
 
 EXIT_OK = 0
@@ -306,57 +315,12 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(config, axis, value, observable):
-    """One sweep evaluation; returns (axis_value, observable_value, valid)."""
-    if axis == "drive2-power":
-        cfg = dataclasses.replace(config, drive2_power=float(value))
-    elif axis == "detuning2":
-        cfg = dataclasses.replace(config, detuning2=Detuning2Spec("effective", float(value)))
-    elif axis == "charge-l1":
-        cfg = dataclasses.replace(config, charge_l1=int(value))
-    else:
-        raise ValueError(f"unknown axis {axis!r}")
-    try:
-        if observable == "shift-distance":
-            return value, charge_step_shift(cfg), True
-        params, steady = operating_point(cfg)
-        if observable == "x-star":
-            return value, find_valley(params, steady).x_star, True
-        if observable == "resonance-transmission":
-            return value, transmission_at(params, steady, params.omega_phi), True
-        if observable == "detuning":
-            return value, (steady.delta1 - params.omega_phi) / params.omega_phi, True
-        raise ValueError(f"unknown observable {observable!r}")
-    except PointFailure:
-        return value, float("nan"), False
-
-
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     derive_params(config)  # validate early
-    if args.n < 1 or (args.n > 1 and not args.start < args.stop):
-        print("empty or inverted sweep range", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.axis == "charge-l1":
-        if args.n == 1:
-            values = [int(round(args.start))]
-        else:
-            step = (args.stop - args.start) / (args.n - 1)
-            values = [int(round(args.start + k * step)) for k in range(args.n)]
-    else:
-        values = [
-            args.start + k * (args.stop - args.start) / max(args.n - 1, 1) for k in range(args.n)
-        ]
-    rows = [_sweep_point(config, args.axis, v, args.observable) for v in values]
-    header = {"x-star": "x_star", "resonance-transmission": "T", "detuning": "delta1_normalized",
-              "shift-distance": "d"}[args.observable]
-    axis_col = args.axis.replace("-", "_")
-    if args.observable == "shift-distance" and args.axis == "detuning2":
-        # scan tables carry the normalized detuning
-        omega_phi = config.rotation_frequency
-        rows = [(v / omega_phi, d, ok) for v, d, ok in rows]
-        axis_col = "d2_over_omega"
-    _write_csv(args.out, [axis_col, header, "valid"], zip(*rows))
+    values = sweep_values(args.axis, args.start, args.stop, args.n)
+    header, rows = sweep(config, args.axis, args.observable, values)
+    _write_csv(args.out, header, zip(*rows))
     flags = {
         "axis": args.axis,
         "start": args.start,
@@ -371,6 +335,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.n_points < 1 or not 0.0 < args.probe_scale < np.inf:
+        raise ConfigError([Violation("-n, --probe-scale", "need n >= 1 and a finite scale > 0")])
     config = load_config(args.config)
     # fast-relaxation override: structural equivalence is what is being tested
     config = dataclasses.replace(config, quality_factor=float(args.quality_override))
@@ -444,15 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     wp = sub.add_parser("sweep", help="1-D parameter sweep to CSV")
     wp.add_argument("--config", required=True)
-    wp.add_argument("--axis", required=True, choices=["drive2-power", "detuning2", "charge-l1"])
+    wp.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     wp.add_argument("--start", type=float, required=True)
     wp.add_argument("--stop", type=float, required=True)
     wp.add_argument("-n", "--n", type=int, required=True)
-    wp.add_argument(
-        "--observable",
-        default="x-star",
-        choices=["x-star", "resonance-transmission", "detuning", "shift-distance"],
-    )
+    wp.add_argument("--observable", default=next(iter(SWEEP_OBSERVABLES)), choices=list(SWEEP_OBSERVABLES))
     wp.add_argument("--out", required=True)
     wp.add_argument("--jobs", type=int, default=1, help="accepted; work runs serially")
     wp.set_defaults(func=cmd_sweep)
@@ -471,7 +433,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError) as err:
+    except FileNotFoundError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OamCavityError as err:

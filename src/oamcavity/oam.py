@@ -22,7 +22,7 @@ from .errors import (
     PointFailure,
 )
 from .params import SystemParams, Violation, fingerprint
-from .spectrum import DEFAULT_WINDOW, find_valley
+from .spectrum import find_valley, sweep
 from .steady import operating_point
 
 CALIBRATION_FORMAT = "oamcavity-calibration-v1"
@@ -59,11 +59,11 @@ class OamEstimate:
     ambiguous_with: tuple[int, ...]
 
 
-def _entry_for_charge(params_template, charge, window) -> CalibrationEntry | str:
+def _entry_for_charge(params_template, charge) -> CalibrationEntry | str:
     """The calibration entry of one charge, or the reason it failed."""
     try:
         params, steady = operating_point(replace(params_template.config, charge_l1=charge))
-        valley = find_valley(params, steady, window)
+        valley = find_valley(params, steady)
     except Multistable:
         return "multistable"
     except NoInteriorMinimum:
@@ -77,7 +77,6 @@ def build_calibration(
     params_template: SystemParams,
     l_min: int,
     l_max: int,
-    window: tuple[float, float] = DEFAULT_WINDOW,
     jobs: int = 1,
 ) -> CalibrationCurve:
     """Valley position per integer charge in [l_min, l_max], plus a linear fit.
@@ -95,7 +94,7 @@ def build_calibration(
     entries = []
     failures = []
     for charge in charges:
-        entry = _entry_for_charge(params_template, charge, window)
+        entry = _entry_for_charge(params_template, charge)
         if isinstance(entry, str):
             failures.append((charge, entry))
         else:
@@ -138,21 +137,13 @@ def _least_squares(ls, xs) -> tuple[float, float, float]:
 def detuning_curve(params_template: SystemParams, l_min: int, l_max: int):
     """Normalized effective detuning (Delta_1 - omega_phi)/omega_phi per charge.
 
-    The steady-state half of the calibration: no spectra involved.
-    Failures are recorded as None rows.
+    The steady-state half of the calibration, no spectra involved: the
+    `sweep` of the detuning over charge-l1, with None for an invalid row.
     """
     if l_min > l_max:
         raise ValueError(f"need l_min <= l_max, got [{l_min}, {l_max}]")
-    rows = []
-    omega_phi = params_template.omega_phi
-    for charge in range(l_min, l_max + 1):
-        try:
-            _, steady = operating_point(replace(params_template.config, charge_l1=charge))
-        except PointFailure:
-            rows.append((charge, None))
-            continue
-        rows.append((charge, (steady.delta1 - omega_phi) / omega_phi))
-    return rows
+    _, rows = sweep(params_template.config, "charge-l1", "detuning", range(l_min, l_max + 1))
+    return [(charge, value if valid else None) for charge, value, valid in rows]
 
 
 def estimate_oam(curve: CalibrationCurve, x_measured: float) -> OamEstimate:
@@ -217,10 +208,10 @@ def save_calibration(curve: CalibrationCurve, path) -> None:
 
 
 def load_calibration(path) -> CalibrationCurve:
-    """Read a `save_calibration` file; any other document raises ConfigError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a `save_calibration` file; any other document or unreadable JSON raises ConfigError naming it."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
         if doc.get("format") != CALIBRATION_FORMAT:
             raise ValueError(f"not a calibration file: format={doc.get('format')!r}")
         entries = tuple(

@@ -135,7 +135,7 @@ def _dopri54_mean_field(equations, y_start, t_end, rtol, atol):
     times from 0, the matching states as consecutive rows of six, the
     number of rejected steps and the number of right-hand-side evaluations
     (2 at start-up, then 6 per attempted step).  Raises StepSizeUnderflow
-    when the step falls below the minimum.
+    when the step falls below the minimum or is NaN (a non-finite RHS).
     """
     dc1, dc2, k1, k2, g1, g2, eps1, eps2, ep, gam, om2, hbar_i, omp = equations
     cos, sin, nextafter, inf = math.cos, math.sin, math.nextafter, math.inf
@@ -170,7 +170,7 @@ def _dopri54_mean_field(equations, y_start, t_end, rtol, atol):
             h_abs = min_step
         step_rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN step raises too
                 raise StepSizeUnderflow(
                     f"integration failed at t = {t:.6e} s: required step size is less "
                     "than spacing between numbers",
@@ -341,7 +341,8 @@ def integrate_mean_field(
     Raises
     ------
     ValueError
-        a non-finite initial state, or `t_end` not positive and finite.
+        a non-finite initial state, `omega_probe` or `eps_p_scale`, or
+        `t_end` not positive and finite.
     StepSizeUnderflow
         stiff blowup; carries the divergence time.
     """
@@ -361,8 +362,8 @@ def integrate_mean_field(
     else:
         c1_0, c2_0, phi_0, phid_0 = initial_state
         y0 = tuple(float(v) for v in (c1_0.real, c1_0.imag, c2_0.real, c2_0.imag, phi_0, phid_0))
-    if not all(math.isfinite(v) for v in y0):
-        raise ValueError("every component of the initial state must be finite")
+    if not all(math.isfinite(v) for v in (*y0, omega_probe, eps_p_scale)):
+        raise ValueError("the initial state, omega_probe and eps_p_scale must be finite")
 
     amp1 = (e1 + ep) / k1
     amp2 = e2 / k2

@@ -289,11 +289,14 @@ def config_from_dict(raw: dict) -> SystemConfig:
 
 
 def load_config(path) -> SystemConfig:
-    """Read one JSON config document from `path`."""
+    """Read one JSON config document from `path`; unreadable JSON raises ConfigError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as err:  # malformed, not UTF-8, or an integer past 4300 digits
+            raise ConfigError([Violation(f"config {path}", str(err))]) from None
     if not isinstance(raw, dict):
-            raise ConfigError([Violation("<document>", "config file must contain a single JSON object")])
+        raise ConfigError([Violation("<document>", "config file must contain a single JSON object")])
     return config_from_dict(raw)
 
 

@@ -1,4 +1,4 @@
-"""Transmission spectra, resonance-valley location and linewidths.
+"""Transmission spectra, resonance-valley location, linewidths and parameter sweeps.
 
 The valley is the interior minimum of T(x), x = (Omega - omega_phi)/omega_phi,
 whose discrete curvature clears a rounding floor.  Location uses a coarse grid
@@ -8,13 +8,14 @@ make curvature-based methods ill-conditioned, so no derivatives are trusted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DipTooShallow, NoInteriorMinimum, PointFailure
-from .params import Detuning2Spec, SystemConfig, SystemParams, fingerprint
-from .response import transmission_many
+from .errors import ConfigError, DipTooShallow, NoInteriorMinimum, PointFailure
+from .params import Detuning2Spec, SystemConfig, SystemParams, Violation, fingerprint
+from .response import transmission_at, transmission_many
 from .steady import SteadyState, operating_point
 
 DEFAULT_WINDOW = (-0.2, 0.2)
@@ -255,34 +256,72 @@ def _measure_fwhm(params: SystemParams, steady: SteadyState, valley: ValleyRepor
     return w
 
 
-def charge_step_shift(config: SystemConfig, window: tuple[float, float] = DEFAULT_WINDOW) -> float:
+def charge_step_shift(config: SystemConfig) -> float:
     """|x*(l1+1) - x*(l1)| at the config's own charge l1 and detuning-2 spec.
 
     Raises what operating_point and find_valley raise for either charge.
     """
-    xs = []
-    for charge in (config.charge_l1, config.charge_l1 + 1):
-        params, steady = operating_point(replace(config, charge_l1=charge))
-        xs.append(find_valley(params, steady, window).x_star)
-    return abs(xs[1] - xs[0])
+    return _step_shift(*operating_point(config))
 
 
-def shift_distance(
-    params_template: SystemParams,
-    l1: int,
-    delta2_scan,
-    window: tuple[float, float] = DEFAULT_WINDOW,
-):
+def _step_shift(params: SystemParams, steady: SteadyState) -> float:
+    """`charge_step_shift` from the operating point at l1."""
+    x_star = find_valley(params, steady).x_star
+    above = replace(params.config, charge_l1=params.config.charge_l1 + 1)
+    return abs(find_valley(*operating_point(above)).x_star - x_star)
+
+
+def shift_distance(params_template: SystemParams, l1: int, delta2_scan):
     """Spectral shift distance d = |x*(l1+1) - x*(l1)| per scanned effective Delta_2.
 
-    Returns a list of rows (delta2_over_omega, d, valid); rows where a
-    valley cannot be located are marked invalid and the scan continues.
+    The shift-distance `sweep` over detuning2 at charge l1: rows
+    (delta2_over_omega, d, valid), nan and False where a valley is missing.
     """
+    return sweep(replace(params_template.config, charge_l1=l1), "detuning2", "shift-distance", delta2_scan)[1]
+
+
+#: sweep axis -> the config at one value of it
+SWEEP_AXES = {
+    "drive2-power": lambda config, v: replace(config, drive2_power=float(v)),
+    "detuning2": lambda config, v: replace(config, detuning2=Detuning2Spec("effective", float(v))),
+    "charge-l1": lambda config, v: replace(config, charge_l1=int(v)),
+}
+#: sweep observable -> (CSV column, its value at one operating point (params, steady))
+SWEEP_OBSERVABLES = {
+    "x-star": ("x_star", lambda p, st: find_valley(p, st).x_star),
+    "resonance-transmission": ("T", lambda p, st: transmission_at(p, st, p.omega_phi)),
+    "detuning": ("delta1_normalized", lambda p, st: (st.delta1 - p.omega_phi) / p.omega_phi),
+    "shift-distance": ("d", _step_shift),
+}
+
+
+def sweep_values(axis: str, start: float, stop: float, n: int) -> list:
+    """n values evenly spaced from start to stop, rounded on charge-l1; ConfigError for a bad range."""
+    if not (math.isfinite(start) and math.isfinite(stop)) or n < 1 or (n > 1 and not start < stop):
+        raise ConfigError([Violation("sweep range", f"need n >= 1 and finite start < stop (start = stop "
+                                     f"if n = 1), got start {start!r}, stop {stop!r}, n {n}")])
+    if axis == "charge-l1":
+        step = (stop - start) / max(n - 1, 1)
+        return [int(round(start + k * step)) for k in range(n)]
+    return [start + k * (stop - start) / max(n - 1, 1) for k in range(n)]
+
+
+def sweep(config: SystemConfig, axis: str, observable: str, values) -> tuple[list[str], list[tuple]]:
+    """The CSV header and a (value, observable, valid) row per value of `axis`.
+
+    Each value's config is solved once (`operating_point`) and the
+    observable read at that operating point.  A PointFailure gives the row
+    (value, nan, False) and the scan goes on.  A shift-distance scan over
+    detuning2 carries Delta_2/omega_phi instead of Delta_2.
+    """
+    at, (column, measure) = SWEEP_AXES[axis], SWEEP_OBSERVABLES[observable]
     rows = []
-    for d2 in delta2_scan:
-        cfg = replace(params_template.config, charge_l1=l1, detuning2=Detuning2Spec("effective", float(d2)))
+    for value in values:
         try:
-            rows.append((d2 / params_template.omega_phi, charge_step_shift(cfg, window), True))
+            rows.append((value, measure(*operating_point(at(config, value))), True))
         except PointFailure:
-            rows.append((d2 / params_template.omega_phi, float("nan"), False))
-    return rows
+            rows.append((value, math.nan, False))
+    if (axis, observable) == ("detuning2", "shift-distance"):
+        omega = config.rotation_frequency
+        return ["d2_over_omega", column, "valid"], [(v / omega, d, ok) for v, d, ok in rows]
+    return [axis.replace("-", "_"), column, "valid"], rows

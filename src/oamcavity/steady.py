@@ -56,22 +56,14 @@ class SteadySolveReport:
     multistable: bool
 
 
-def _bare_detuning2(params: SystemParams, phi: float) -> float:
-    """Bare Delta_c2 implied by the detuning-2 specification at angle phi."""
-    spec = params.detuning2
-    if spec.mode == "bare":
-        return spec.value
-    # effective Delta_2 held fixed: Delta_c2 tracks g2*phi
-    return spec.value + params.g2 * phi
+def _detuning2_slope(params: SystemParams) -> float:
+    """dDelta_2/dphi: -g2 for a bare detuning-2 spec, 0 for an effective one (Delta_2 held)."""
+    return -params.g2 if params.detuning2.mode == "bare" else 0.0
 
 
 def _photon_numbers(params: SystemParams, phi: float, scale: float = 1.0) -> tuple[float, float, float, float]:
     """(N1, N2, Delta1, Delta2) at angle phi with drive powers scaled by `scale`."""
-    d1 = params.detuning1 + params.g1 * phi
-    if params.detuning2.mode == "bare":
-        d2 = params.detuning2.value - params.g2 * phi
-    else:
-        d2 = params.detuning2.value
+    d1, d2 = effective_detunings(phi, params)
     n1 = scale * params.eps1**2 / (params.kappa1**2 + d1 * d1)
     n2 = scale * params.eps2**2 / (params.kappa2**2 + d2 * d2)
     return n1, n2, d1, d2
@@ -92,22 +84,17 @@ def _residual_derivative(phi: float, params: SystemParams, scale: float) -> floa
     n1, n2, d1, d2 = _photon_numbers(params, phi, scale)
     pref = params.hbar / (params.inertia * params.omega_phi**2)
     dn1 = -2.0 * params.g1 * d1 * n1 / (params.kappa1**2 + d1 * d1)
-    if params.detuning2.mode == "bare":
-        dn2 = 2.0 * params.g2 * d2 * n2 / (params.kappa2**2 + d2 * d2)
-    else:
-        dn2 = 0.0
+    dn2 = -2.0 * _detuning2_slope(params) * d2 * n2 / (params.kappa2**2 + d2 * d2)
     return 1.0 - pref * (-params.g1 * dn1 + params.g2 * dn2)
 
 
 def effective_detunings(phi_s: float, params: SystemParams) -> tuple[float, float]:
-    """(Delta_1, Delta_2) = (Delta_c1 + g1*phi_s, Delta_c2 - g2*phi_s), exact arithmetic."""
-    d1 = params.detuning1 + params.g1 * phi_s
-    d2 = _bare_detuning2(params, phi_s) - params.g2 * phi_s
-    return d1, d2
+    """(Delta_c1 + g1*phi_s, Delta_c2 - g2*phi_s): Delta_2 moves with phi_s at `_detuning2_slope`."""
+    return params.detuning1 + params.g1 * phi_s, params.detuning2.value + _detuning2_slope(params) * phi_s
 
 
 def _state_at(params: SystemParams, phi: float, branch_tag: str) -> SteadyState:
-    n1, n2, d1, d2 = _photon_numbers(params, phi)
+    d1, d2 = effective_detunings(phi, params)
     c1 = params.eps1 / complex(params.kappa1, d1)
     c2 = params.eps2 / complex(params.kappa2, d2)
     return SteadyState(
@@ -154,7 +141,7 @@ def _polynomial_roots(params: SystemParams, scale: float) -> list[float]:
         return [0.0]
     g = params.g1 or params.g2
     sigma = w / g  # phi = sigma*z
-    slope2 = -params.g2 / g if params.detuning2.mode == "bare" else 0.0
+    slope2 = _detuning2_slope(params) / g
 
     def lorentzian(kappa, detuning, slope, pull):  # L/omega_phi^2 as a polynomial in z
         if pull == 0.0:
@@ -249,4 +236,4 @@ def bare_detunings(params: SystemParams, steady: SteadyState) -> tuple[float, fl
     The time-domain oracle integrates the bare equations and must reproduce
     the effective detunings on its own, so it needs the bare values.
     """
-    return params.detuning1, _bare_detuning2(params, steady.phi)
+    return params.detuning1, params.detuning2.value + (_detuning2_slope(params) + params.g2) * steady.phi

@@ -489,6 +489,63 @@ def test_malformed_json_exit_2(tmp_path):
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
 
 
+def _huge_int_json(doc, key_path) -> str:
+    """`doc` as JSON text with the value at `key_path` replaced by a 5000-digit integer literal."""
+    target = doc
+    for key in key_path[:-1]:
+        target = target[key]
+    target[key_path[-1]] = "HUGE-INTEGER"
+    return json.dumps(doc).replace('"HUGE-INTEGER"', "1" * 5000)
+
+
+def test_integer_beyond_conversion_limit_in_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(_huge_int_json(dict(BASE), ["mirror_mass_kg"]))
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"ConfigError: config {cfg}: ")
+
+
+def test_integer_beyond_conversion_limit_in_calibration_exit_2(tmp_path, capsys):
+    cal = tmp_path / "cal.json"
+    doc = json.loads(Path(synthetic_calibration(cal)).read_text())
+    cal.write_text(_huge_int_json(doc, ["entries", 0, "charge"]))
+    assert main(["estimate", "--calibration", str(cal), "--x-measured", "0.01"]) == 2
+    assert capsys.readouterr().err.startswith(f"ConfigError: calibration {cal}: ")
+
+
+@pytest.mark.parametrize("argv", [["-n", "0"], ["-n", "-3"], ["--probe-scale", "nan"],
+                                  ["--probe-scale", "inf"], ["--probe-scale", "0"],
+                                  ["--probe-scale=-1e-3"]])
+def test_validate_bad_point_count_or_probe_scale_exit_2(tmp_path, capsys, argv):
+    """Refused before the config is read (this one does not exist): nothing compared, no oracle run."""
+    assert main(["validate", "--config", str(tmp_path / "absent.json"), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--probe-scale" in captured.err
+
+
+@pytest.mark.parametrize("axis", ["charge-l1", "drive2-power"])
+@pytest.mark.parametrize("start, stop, n", [("nan", "3", "1"), ("inf", "inf", "1"), ("-inf", "3", "3"),
+                                            ("0", "nan", "3"), ("1", "inf", "2")])
+def test_sweep_non_finite_range_exit_2(tmp_path, config_path, capsys, axis, start, stop, n):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", config_path, "--axis", axis, f"--start={start}", f"--stop={stop}",
+                 "-n", n, "--observable", "detuning", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError: sweep range: ")
+    assert not out.exists()
+
+
+def test_sweep_choices_are_the_engine_tables():
+    from oamcavity.spectrum import SWEEP_AXES, SWEEP_OBSERVABLES
+
+    sweep_parser = cli.build_parser()._subparsers._group_actions[0].choices["sweep"]
+    choices = {a.dest: a.choices for a in sweep_parser._actions if a.choices}
+    assert choices == {"axis": list(SWEEP_AXES), "observable": list(SWEEP_OBSERVABLES)}
+    args = cli.build_parser().parse_args(["sweep", "--config", "c.json", "--axis", "charge-l1",
+                                          "--start", "0", "--stop", "1", "-n", "2", "--out", "o.csv"])
+    assert args.observable == "x-star"
+
+
 @pytest.mark.slow
 def test_validate_passes_and_reports(tmp_path, capsys):
     cfg = write_config(tmp_path / "v.json", drive1_power_w=4e-3, drive2_power_w=0.1)

@@ -83,6 +83,15 @@ def test_load_rejects_foreign_json(tmp_path):
         load_calibration(path)
 
 
+@pytest.mark.parametrize("text", ["{not json", '{"format": ' + "9" * 5000 + "}", b"\xff"],
+                         ids=["malformed", "5000-digit-integer", "not-utf-8"])
+def test_load_rejects_unreadable_json(tmp_path, text):
+    path = tmp_path / "broken_cal.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(ConfigError, match="broken_cal.json"):
+        load_calibration(path)
+
+
 def test_fingerprint_check():
     p = derive_params(default_config())
     from oamcavity import fingerprint

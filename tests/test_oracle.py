@@ -383,6 +383,21 @@ def test_stepper_matches_scipy_rk45_over_200_steps():
         assert np.max(np.abs(got - want)) <= 1e-9 * scale
 
 
+def test_nan_right_hand_side_raises_step_size_underflow():
+    """A NaN constant makes the first step NaN from a non-vacuum start; the guard raises on it."""
+    equations = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, math.nan)
+    with _time_limit(30.0), pytest.raises(StepSizeUnderflow):
+        oracle._dopri54_mean_field(equations, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 1.0, 1e-6, (1e-6,) * 6)
+
+
+@pytest.mark.parametrize("omega_probe, eps_p_scale", [(math.nan, 1.0), (math.inf, 1.0),
+                                                      (1.0, math.nan), (1.0, -math.inf)])
+def test_non_finite_probe_raises(omega_probe, eps_p_scale):
+    p = derive_params(default_config(drive1_power=1e-6, drive2_power=0.0, probe_power=0.0))
+    with _time_limit(30.0), pytest.raises(ValueError, match="finite"):
+        integrate_mean_field(p, (p.detuning1, 0.0), None, 1e-7, omega_probe, eps_p_scale=eps_p_scale)
+
+
 def _demodulate_on_whole_trajectory(traj, omega, window):
     """`demodulate`'s projection with splines fitted on every trajectory sample."""
     from scipy.interpolate import CubicSpline

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from oamcavity import (
+    ConfigError,
     DipTooShallow,
     Multistable,
     NoInteriorMinimum,
     derive_params,
     default_config,
+    detuning_curve,
     find_valley,
     linewidth,
     response,
@@ -26,7 +28,7 @@ from oamcavity.response import (
     transmission_at,
     transmission_many,
 )
-from oamcavity.spectrum import Spectrum, ValleyReport
+from oamcavity.spectrum import Spectrum, ValleyReport, sweep, sweep_values
 from oamcavity.steady import operating_point
 
 
@@ -206,6 +208,35 @@ def test_shift_distance_marks_invalid_rows():
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_sweep_values_grid_and_range_checks():
+    assert sweep_values("drive2-power", 0.0, 0.25, 3) == [0.0, 0.125, 0.25]
+    assert sweep_values("charge-l1", -1.0, 1.0, 5) == [-1, 0, 0, 0, 1]  # round half to even
+    assert sweep_values("charge-l1", 2.6, 2.6, 1) == [3]
+    for start, stop, n in [(0.0, 0.0, 0), (1.0, 0.0, 2), (math.nan, 1.0, 1), (0.0, math.inf, 2)]:
+        with pytest.raises(ConfigError, match="sweep range"):
+            sweep_values("detuning2", start, stop, n)
+
+
+def test_sweep_point_failure_gives_invalid_row():
+    """bistable_demo.json is multistable with drive 2 dark and monostable at 0.25 W."""
+    cfg = load_config(str(CONFIGS / "bistable_demo.json"))
+    header, rows = sweep(cfg, "drive2-power", "detuning", [0.0, 0.25])
+    assert header == ["drive2_power", "delta1_normalized", "valid"]
+    assert rows[0][0] == 0.0 and math.isnan(rows[0][1]) and rows[0][2] is False
+    assert rows[1][0] == 0.25 and math.isfinite(rows[1][1]) and rows[1][2] is True
+
+
+def test_detuning_curve_and_shift_distance_are_sweep_rows():
+    tmpl = derive_params(default_config(drive1_power=0.1e-6, drive2_power=0.1, charge_l1=5))
+    _, rows = sweep(tmpl.config, "charge-l1", "detuning", [-1, 0, 1])
+    assert detuning_curve(tmpl, -1, 1) == [(c, v) for c, v, _ in rows]
+    omega = tmpl.omega_phi
+    header, rows = sweep(tmpl.config, "detuning2", "shift-distance", [0.0, 0.5 * omega])
+    assert header == ["d2_over_omega", "d", "valid"]
+    assert [r[0] for r in rows] == [0.0, 0.5]
+    assert repr(shift_distance(tmpl, 5, [0.0, 0.5 * omega])) == repr(rows)
 
 
 def test_rounding_level_minimum_is_not_a_valley():

@@ -6,11 +6,16 @@ Usage:
     python3 tools/output_digests.py <repo-root> [--seed N]
 
 Builds each workload of ``<repo-root>/bench/workloads.py`` (spectrum,
-calibrate, sweep, validate) for the seed, runs its invocations once through
-``oamcavity.cli.main`` from ``<repo-root>/src`` in this process, and prints
-one line per data file (``<invocation> <file> <sha256>``) plus one for each
-invocation's exit code and one for the `validate` stdout.  The bench is
-imported, never modified; inputs and outputs go to a temporary directory.
+calibrate, sweep, validate) for the seed, adds the sweeps the benchmark
+skips (`EXTRA_SWEEPS`: x-star over charge-l1, drive2-power and detuning2,
+shift-distance over detuning2 and over charge-l1 on a bare detuning-2
+config, and drive-2 sweeps with invalid rows), runs every invocation once
+through ``oamcavity.cli.main`` from ``<repo-root>/src`` in this process, and
+prints one line per data file (``<invocation> <file> <sha256>``) plus one
+for each invocation's exit code and one for the `validate` stdout.  The
+bench is imported, never modified; inputs and outputs go to a temporary
+directory.  The extra sweeps take the shipped configs and do not depend on
+the seed.
 
 Two checkouts produce byte-identical outputs exactly when
 
@@ -32,9 +37,44 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
+
+OMEGA_PHI = 62831853.071795866  # rotation_frequency_rad_s of every shipped config
+#: (name, config, axis, start, stop, n, observable); config is a stem under configs/
+#: or "bare": shift_distance_base.json at drive-2 power 0.01 W, l1 = 5 and a bare
+#: Delta_c2 of omega_phi/2, whose drive-2 sweep has invalid rows from 0.05 W on
+EXTRA_SWEEPS = (
+    ("x-star/charge-l1", "calibration_highres", "charge-l1", -6, 6, 7, "x-star"),
+    ("x-star/drive2-power", "weak_drive_shift_l1_pos", "drive2-power", 0, 0.2, 9, "x-star"),
+    ("x-star/detuning2-fano", "strong_drive_fano", "detuning2", -0.2 * OMEGA_PHI, 0.2 * OMEGA_PHI, 5,
+     "x-star"),
+    ("shift-distance/detuning2", "shift_distance_base", "detuning2", -0.5 * OMEGA_PHI,
+     0.5 * OMEGA_PHI, 9, "shift-distance"),
+    ("shift-distance/charge-l1-bare", "bare", "charge-l1", 3, 7, 5, "shift-distance"),
+    ("detuning/drive2-power-bare", "bare", "drive2-power", 0, 0.2, 9, "detuning"),
+    ("resonance-transmission/drive2-power-bistable", "bistable_demo", "drive2-power", 0, 0.25, 11,
+     "resonance-transmission"),
+)
+
+
+def extra_sweeps(workloads, root: Path, workdir: Path) -> list:
+    """One `workloads.Op` per `EXTRA_SWEEPS` row, its config written under `workdir`."""
+    bare = json.loads((root / "configs" / "shift_distance_base.json").read_text(encoding="utf-8"))
+    del bare["detuning2_effective_rad_s"]
+    bare.update(detuning2_bare_rad_s=0.5 * OMEGA_PHI, drive2_power_w=0.01, charge_l1=5)
+    workdir.mkdir(parents=True)
+    (workdir / "bare.json").write_text(json.dumps(bare, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    ops = []
+    for name, stem, axis, start, stop, n, observable in EXTRA_SWEEPS:
+        config = workdir / "bare.json" if stem == "bare" else root / "configs" / f"{stem}.json"
+        out = workdir / (name.replace("/", "_") + ".csv")
+        argv = ["sweep", "--config", str(config), "--axis", axis, f"--start={start!r}",
+                f"--stop={stop!r}", "-n", str(n), "--observable", observable, "--out", str(out)]
+        ops.append(workloads.Op(f"sweep/{name}", argv, [str(out)]))
+    return ops
 
 
 def digests(root: Path, seed: int) -> list[str]:
@@ -47,20 +87,23 @@ def digests(root: Path, seed: int) -> list[str]:
         raise SystemExit(f"imported {cli.__file__}, not the source tree under {root / 'src'}")
     lines = []
     with tempfile.TemporaryDirectory(prefix="oamcavity-digests-") as tmp:
+        runs = []
         for name in workloads.BUILDERS:
             wl = workloads.build(name, root, seed, Path(tmp) / name)
             wl.write_inputs()
-            for op in wl.ops:
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                    rc = cli.main(op.argv)
-                lines.append(f"{op.name} exit {rc}")
-                for path in op.data:
-                    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-                    lines.append(f"{op.name} {Path(path).name} {digest}")
-                if name == "validate":
-                    digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
-                    lines.append(f"{op.name} stdout {digest}")
+            runs += [(name, op) for op in wl.ops]
+        runs += [("extra", op) for op in extra_sweeps(workloads, root, Path(tmp) / "extra")]
+        for name, op in runs:
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(op.argv)
+            lines.append(f"{op.name} exit {rc}")
+            for path in op.data:
+                digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                lines.append(f"{op.name} {Path(path).name} {digest}")
+            if name == "validate":
+                digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+                lines.append(f"{op.name} stdout {digest}")
     return lines
 
 
