@@ -9,10 +9,13 @@ byte-identical across reruns of the same (config, flags, version).
 Exit codes (frozen for scripting).  Each error class carries its own as
 ``exit_code``; ``main`` maps any OamCavityError to it:
     0  success
-    2  configuration invalid: ConfigError, a missing or malformed config
-       or calibration file, an invalid range or --branch on the command line
-       (a sweep end that is not finite, a validate -n below 1 or a
-       --probe-scale that is not finite and positive)
+    2  configuration invalid: ConfigError, a malformed config or
+       calibration file, an invalid range or --branch on the command line
+       (a spectrum or sweep end that is not finite, a validate -n below 1,
+       a --probe-scale that is not finite and positive, an estimate
+       --x-measured that is not finite)
+    2  a config, calibration or output path that cannot be read or
+       written (any OSError: missing, a directory, no permission)
     3  multistable steady state and no --branch given: Multistable
     4  numeric failure: every other OamCavityError (NoConvergence,
        SingularSystem, NoInteriorMinimum, DipTooShallow, their base class
@@ -231,9 +234,8 @@ def _steady_or_exit(params, branch: int | None):
 
 
 def cmd_spectrum(args) -> int:
-    if args.n < 3 or not args.x_lo < args.x_hi:
-        print("need x_lo < x_hi and n >= 3", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.n < 3 or not -np.inf < args.x_lo < args.x_hi < np.inf:
+        raise ConfigError([Violation("--x-lo, --x-hi, -n", "need finite x_lo < x_hi and n >= 3")])
     config = load_config(args.config)
     params = derive_params(config)
     steady = _steady_or_exit(params, args.branch)
@@ -433,8 +435,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as err:
-        print(f"config error: {err}", file=sys.stderr)
+    except OSError as err:  # only input and output files are opened
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OamCavityError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)

@@ -34,10 +34,10 @@ class NoConvergence(PointFailure):
 
     Attributes
     ----------
-    window : (float, float)
+    window : (float, float) or None
         Smallest and largest angle in radians among the polished real roots
         of the fixed-point polynomial, none of which met the residual
-        tolerance.
+        tolerance; None when it has no real root.
     """
 
     def __init__(self, message, window=None):
@@ -90,7 +90,7 @@ class FingerprintMismatch(OamCavityError):
 
 
 class StepSizeUnderflow(OamCavityError):
-    """Time-domain integration blew up (stiff divergence).
+    """Time-domain integration blew up (stiff divergence) or used up its step attempts.
 
     Attributes
     ----------

@@ -155,12 +155,16 @@ def estimate_oam(curve: CalibrationCurve, x_measured: float) -> OamEstimate:
 
     Raises
     ------
+    ConfigError
+        when x_measured is not finite.
     ModelNotInvertible
         when the curve has fewer than two entries or is not strictly monotone.
     OutOfRange
         when x_measured lies beyond the curve's extremes by more than one
         inter-entry step.
     """
+    if not abs(x_measured) < float("inf"):  # nan or +-inf
+        raise ConfigError([Violation("x_measured", f"must be finite, got {x_measured!r}")])
     if len(curve.entries) < 2:
         raise ModelNotInvertible(f"calibration curve has {len(curve.entries)} entries, need at least 2")
     if not curve.monotone:

@@ -15,6 +15,8 @@ steps at a fraction of the per-step cost.  The mean-value equations are
 written into its stages, so a step makes no function call per stage.
 scipy is loaded only by `demodulate`, for a cubic spline fitted around
 the demodulation window; nothing else in the package needs it.
+`sideband_oracle` records only that window and the spline's margin before
+it, so its memory does not grow with `t_end`.
 
 This path is expensive: the mechanical damping time 1/gamma_phi is the
 slow scale (tens of ms at the default quality factor), so structural
@@ -40,6 +42,8 @@ MIN_PERIODS = 10
 _SAMPLES_PER_PERIOD = 32
 _MAX_SAMPLES = 65536
 _SPLINE_MARGIN = 16  # trajectory samples fitted beyond each end of the demodulation window
+_KEPT_BEFORE_RECORD = _SPLINE_MARGIN + 2  # samples kept before a trajectory's recording start
+_ATTEMPTS_PER_RATE = 1000.0  # step attempts allowed per unit of 1 + rate * t_end, see `_dopri54_mean_field`
 WINDOW_PERIODS = 21  # beat periods before t_end that `sideband_oracle` demodulates
 
 # Dormand-Prince 5(4) tableau (J. Comput. Appl. Math. 6, 19 (1980)): nodes,
@@ -61,12 +65,20 @@ _MIN_RTOL = 100 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Accepted samples of an integration; `stats` counts every step taken, recorded or not.
+
+    `t_record` is the recording start: every accepted sample from it on is
+    held, and before it only the last `_KEPT_BEFORE_RECORD` (the spline
+    margin of a window that starts there).  -inf holds the whole trajectory.
+    """
+
     times: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     phi: np.ndarray
     phi_dot: np.ndarray
     stats: dict
+    t_record: float = -math.inf
 
     def __post_init__(self):
         n = len(self.times)
@@ -110,7 +122,7 @@ def _initial_step(rhs, y0, f0, t_end, rtol, atol) -> float:
     return min(100 * h0, h1, t_end)
 
 
-def _dopri54_mean_field(equations, y_start, t_end, rtol, atol):
+def _dopri54_mean_field(equations, y_start, t_end, rtol, atol, t_record=-math.inf):
     """Integrate the mean-value equations over [0, t_end] with the Dormand-Prince 5(4) pair.
 
     `equations` holds the constants of the right-hand side: (Delta_c1,
@@ -131,14 +143,34 @@ def _dopri54_mean_field(equations, y_start, t_end, rtol, atol):
     did the builtins `min` and `max` in the step loop, which are written as
     comparisons that pick the same operand (NaN included).
 
-    Returns (times, states, rejected, nfev): `array('d')` of the accepted
-    times from 0, the matching states as consecutive rows of six, the
-    number of rejected steps and the number of right-hand-side evaluations
-    (2 at start-up, then 6 per attempted step).  Raises StepSizeUnderflow
-    when the step falls below the minimum or is NaN (a non-finite RHS).
+    Every accepted sample from `t_record` on is kept; before it the buffers
+    are cut back to their last `_KEPT_BEFORE_RECORD` samples whenever they
+    reach twice that, and once more at the end.
+
+    Returns (times, states, rejected, nfev): `array('d')` of the kept
+    times, the matching states as consecutive rows of six, the number of
+    rejected steps and the number of right-hand-side evaluations (2 at
+    start-up, then 6 per attempted step), all steps counted, kept or not.
+
+    Raises StepSizeUnderflow when the step falls below the minimum or is
+    NaN (a non-finite RHS), and when the step attempts reach
+
+        1000 * (1 + rate * t_end),
+        rate = max(kappa1 + |Delta_c1|, kappa2 + |Delta_c2|,
+                   gamma_phi + omega_phi, |Omega|),
+
+    the fastest rate of the uncoupled equations and the probe.  Every
+    shipped run and test takes at most 39 attempts per unit of
+    1 + rate * t_end (42 attempts at the rtol floor over 1e-9 s; 2.3 for
+    `validate`, 163,869 attempts; 10.2 for the longest relaxation,
+    720,478), so the bound leaves 25x headroom or more.  A step that
+    collapses toward the minimum ends here instead of crawling on.
     """
     dc1, dc2, k1, k2, g1, g2, eps1, eps2, ep, gam, om2, hbar_i, omp = equations
     cos, sin, nextafter, inf = math.cos, math.sin, math.nextafter, math.inf
+    rate = max(k1 + abs(dc1), k2 + abs(dc2), gam + math.sqrt(om2), abs(omp))
+    max_nfev = 2 + 6 * _ATTEMPTS_PER_RATE * (1.0 + rate * t_end)  # a float: rate * t_end may be huge
+    kept = _KEPT_BEFORE_RECORD
 
     def rhs(t, c1r, c1i, c2r, c2i, phi, phid):
         d1 = dc1 + g1 * phi
@@ -174,6 +206,12 @@ def _dopri54_mean_field(equations, y_start, t_end, rtol, atol):
                 raise StepSizeUnderflow(
                     f"integration failed at t = {t:.6e} s: required step size is less "
                     "than spacing between numbers",
+                    t_divergence=t,
+                )
+            if nfev >= max_nfev:
+                raise StepSizeUnderflow(
+                    f"integration stopped at t = {t:.6e} s of {t_end:.6e} s: "
+                    f"{(nfev - 2) // 6} step attempts, the bound {_ATTEMPTS_PER_RATE:g} * (1 + rate * t_end)",
                     t_divergence=t,
                 )
             t_new = t + h_abs
@@ -305,6 +343,13 @@ def _dopri54_mean_field(equations, y_start, t_end, rtol, atol):
         k10, k11, k12, k13, k14, k15 = k70, k71, k72, k73, z5, k75
         times.append(t)
         states.extend((y0, y1, y2, y3, y4, y5))
+        if t < t_record and len(times) >= 2 * kept:
+            del times[:-kept]
+            del states[: -6 * kept]
+    drop = sum(s < t_record for s in times[: 2 * kept]) - kept  # fewer than 2 * kept precede t_record
+    if drop > 0:
+        del times[:drop]
+        del states[: 6 * drop]
     return times, states, rejected, nfev
 
 
@@ -316,12 +361,14 @@ def integrate_mean_field(
     omega_probe: float,
     tol: float = DEFAULT_TOL,
     eps_p_scale: float = 1.0,
+    t_record: float = -math.inf,
 ) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) integration of the coupled mean-value equations.
 
     The state is six real floats (Re/Im c1, Re/Im c2, phi, dphi/dt), stepped
     by `_dopri54_mean_field` from t = 0 to `t_end` with rtol = `tol` and a
     per-component atol of `tol` times the component's drive-set scale.
+    The whole trajectory is returned unless `t_record` is given.
 
     Parameters
     ----------
@@ -337,6 +384,8 @@ def integrate_mean_field(
         with a `UserWarning`.
     eps_p_scale : float
         Multiplies the configured probe amplitude (0 turns the probe off).
+    t_record : float
+        Recording start, see `Trajectory`; `stats` still counts every step.
 
     Raises
     ------
@@ -344,7 +393,8 @@ def integrate_mean_field(
         a non-finite initial state, `omega_probe` or `eps_p_scale`, or
         `t_end` not positive and finite.
     StepSizeUnderflow
-        stiff blowup; carries the divergence time.
+        stiff blowup, or the step-attempt bound of `_dopri54_mean_field`;
+        carries the time reached.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
@@ -384,8 +434,8 @@ def integrate_mean_field(
         warnings.warn(f"tol {tol:g} is below 100 * machine epsilon; using rtol = {_MIN_RTOL:g}",
                       stacklevel=2)
         rtol = _MIN_RTOL
-    times, states, rejected, nfev = _dopri54_mean_field(equations, y0, t_end, rtol, atol)
-    steps = len(times) - 1
+    times, states, rejected, nfev = _dopri54_mean_field(equations, y0, t_end, rtol, atol, t_record)
+    steps = (nfev - 2) // 6 - rejected  # attempts less rejections, kept or not
     ys = np.frombuffer(states).reshape(-1, 6)
     return Trajectory(
         times=np.frombuffer(times),
@@ -400,6 +450,7 @@ def integrate_mean_field(
             "rtol": rtol,
             "atol": list(atol),
         },
+        t_record=t_record,
     )
 
 
@@ -411,10 +462,14 @@ def demodulate(trajectory: Trajectory, omega: float, window: tuple[float, float]
     resampled onto a uniform grid with cubic interpolation first, so the
     projection is independent of the adaptive step placement.  The spline
     is fitted on the window's samples and 16 more on either side, not on
-    the whole trajectory.
+    the whole trajectory, so a trajectory recorded from the window's start
+    on gives the same result as the whole one.
 
     Raises
     ------
+    ValueError
+        a window beyond the trajectory's ends, or one that starts before
+        its recording start by more than the samples kept there.
     WindowTooShort
         fewer than 10 whole beat periods in the window.
     PoorFit
@@ -430,20 +485,22 @@ def demodulate(trajectory: Trajectory, omega: float, window: tuple[float, float]
             f"window holds {n_per} whole beat periods, need at least {MIN_PERIODS}"
         )
     t_start = t1 - n_per * period
-    if t_start < trajectory.times[0] or t1 > trajectory.times[-1] * (1 + 1e-12):
-        raise ValueError("window extends beyond the trajectory")
+    times = trajectory.times
+    t_stop = min(t1, times[-1])
+    # the spline's dependence on a knot decays geometrically with distance,
+    # so fitting the knots of the window plus a margin either side matches
+    # the whole-trajectory fit to rounding
+    lo = int(np.searchsorted(times, t_start, side="right")) - 1 - _SPLINE_MARGIN
+    hi = int(np.searchsorted(times, t_stop, side="left")) + 1 + _SPLINE_MARGIN
+    if (t_start < times[0] or t1 > times[-1] * (1 + 1e-12)
+            or (lo < 0 and t_start < trajectory.t_record)):  # margin samples dropped
+        raise ValueError("window extends beyond the recorded trajectory")
+    lo = max(lo, 0)
 
     from scipy.interpolate import CubicSpline  # the package's only scipy use
 
     n_samples = min(_SAMPLES_PER_PERIOD * n_per, _MAX_SAMPLES)
-    times = trajectory.times
-    t_stop = min(t1, times[-1])
     ts = np.linspace(t_start, t_stop, n_samples)
-    # the spline's dependence on a knot decays geometrically with distance,
-    # so fitting the knots of the window plus a margin either side matches
-    # the whole-trajectory fit to rounding
-    lo = max(int(np.searchsorted(times, t_start, side="right")) - 1 - _SPLINE_MARGIN, 0)
-    hi = int(np.searchsorted(times, t_stop, side="left")) + 1 + _SPLINE_MARGIN
     knots, c1_knots = times[lo:hi], trajectory.c1[lo:hi]
     spline_r = CubicSpline(knots, c1_knots.real)
     spline_i = CubicSpline(knots, c1_knots.imag)
@@ -482,14 +539,17 @@ def sideband_oracle(
     """The oracle's sideband measurement: integrate to `t_end`, demodulate its last beat periods.
 
     `t_end` defaults to `default_t_end`; the window is the last
-    WINDOW_PERIODS beat periods 2*pi/omega before it.  The other arguments
-    are those of `integrate_mean_field`.
+    WINDOW_PERIODS beat periods 2*pi/omega before it, and the integration
+    records from the window's start, so only the window and its spline
+    margins are held.  The other arguments are those of
+    `integrate_mean_field`.
     """
     if t_end is None:
         t_end = default_t_end(params)
+    window = (t_end - WINDOW_PERIODS * 2.0 * math.pi / omega, t_end)
     traj = integrate_mean_field(params, bare_detunings, initial_state, t_end, omega,
-                                eps_p_scale=eps_p_scale)
-    return demodulate(traj, omega, (t_end - WINDOW_PERIODS * 2.0 * math.pi / omega, t_end))
+                                eps_p_scale=eps_p_scale, t_record=window[0])
+    return demodulate(traj, omega, window)
 
 
 def transmission_oracle(

@@ -178,8 +178,9 @@ def _find_roots(params: SystemParams, scale: float) -> list[float]:
             roots.append(r)
     if not roots:
         raise NoConvergence(
-            f"no polynomial root met the residual tolerance at power fraction {scale:g}",
-            window=(min(polished), max(polished)),
+            f"no polynomial root met the residual tolerance at power fraction {scale:g}"
+            + ("" if polished else " (the polynomial has no real root)"),
+            window=(min(polished), max(polished)) if polished else None,
         )
     return roots
 

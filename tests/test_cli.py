@@ -535,6 +535,55 @@ def test_sweep_non_finite_range_exit_2(tmp_path, config_path, capsys, axis, star
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["config-dir", "out-dir", "valley-out-dir", "out-under-file",
+                                  "calibration-dir"])
+def test_unusable_path_exit_2(tmp_path, config_path, capsys, case):
+    """A path that cannot be opened (a directory, or a file's child) is an input error."""
+    blocker = tmp_path / "plain.txt"
+    blocker.write_text("")
+    out = str(tmp_path / "o.csv")
+    argv = {
+        "config-dir": ["spectrum", "--config", str(tmp_path), "--out", out],
+        "out-dir": ["spectrum", "--config", config_path, "-n", "11", "--out", str(tmp_path)],
+        "valley-out-dir": ["spectrum", "--config", config_path, "-n", "11", "--out", out,
+                           "--valley-out", str(tmp_path)],
+        "out-under-file": ["sweep", "--config", config_path, "--axis", "charge-l1", "--start", "1",
+                           "--stop", "2", "-n", "2", "--observable", "detuning",
+                           "--out", str(blocker / "s.csv")],
+        "calibration-dir": ["estimate", "--calibration", str(tmp_path), "--x-measured", "0.01"],
+    }[case]
+    assert main(argv) == 2
+    assert re.match(r"(IsADirectoryError|NotADirectoryError): ", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_estimate_non_finite_measurement_exit_2(tmp_path, capsys, value):
+    cal = synthetic_calibration(tmp_path / "cal.json")
+    assert main(["estimate", "--calibration", cal, f"--x-measured={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ConfigError: x_measured: ")
+
+
+@pytest.mark.parametrize("x_lo, x_hi", [("-inf", "0"), ("0", "inf"), ("nan", "0.1"), ("-0.1", "nan")])
+def test_spectrum_non_finite_window_exit_2(tmp_path, config_path, capsys, x_lo, x_hi):
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--config", config_path, f"--x-lo={x_lo}", f"--x-hi={x_hi}",
+                 "-n", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError: --x-lo, --x-hi, -n: ")
+    assert not out.exists()
+
+
+def test_spectrum_without_real_steady_root_exit_4(tmp_path, capsys):
+    """A valid config whose fixed-point polynomial has no real root (finesse_2 = 1e300)."""
+    doc = json.loads((CONFIGS / "oracle_check.json").read_text())
+    doc["finesse_2"] = 1e300
+    cfg = tmp_path / "f2.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["spectrum", "--config", str(cfg), "-n", "5", "--out", str(tmp_path / "o.csv")]) == 4
+    assert capsys.readouterr().err.startswith("NoConvergence: ")
+
+
 def test_sweep_choices_are_the_engine_tables():
     from oamcavity.spectrum import SWEEP_AXES, SWEEP_OBSERVABLES
 

@@ -435,6 +435,59 @@ def test_window_spline_matches_whole_trajectory_spline():
             assert abs(got - want) <= 1e-12 * abs(want)
 
 
+def _recorded_and_whole(n_periods):
+    """`_oracle_check_setting()` over `n_periods` beat periods at omega_phi: the
+    `sideband_oracle` window, the whole trajectory and one recorded from the window's start."""
+    p, bare, start, probe_scale = _oracle_check_setting()
+    omega = p.omega_phi
+    t_end = n_periods * 2.0 * math.pi / omega
+    window = (t_end - oracle.WINDOW_PERIODS * 2.0 * math.pi / omega, t_end)
+    with _time_limit(30.0):
+        whole = integrate_mean_field(p, bare, start, t_end, omega, eps_p_scale=probe_scale)
+        recorded = integrate_mean_field(p, bare, start, t_end, omega, eps_p_scale=probe_scale,
+                                        t_record=window[0])
+        measured = oracle.sideband_oracle(p, bare, omega, start, t_end, probe_scale)
+    return omega, window, whole, recorded, measured
+
+
+def test_recording_from_the_window_changes_no_result_and_no_count():
+    """80 beat periods, about 2100 steps: the recorded tail demodulates bit for bit like the
+    whole trajectory, `sideband_oracle` is that measurement, and `stats` counts every step."""
+    omega, window, whole, recorded, measured = _recorded_and_whole(80)
+    assert demodulate(recorded, omega, window) == demodulate(whole, omega, window) == measured
+    for key in ("steps", "rejected_steps", "nfev"):
+        assert recorded.stats[key] == whole.stats[key]
+    assert whole.stats["steps"] == len(whole.times) - 1
+    n_window = int(np.count_nonzero(whole.times >= window[0]))
+    assert len(recorded.times) <= n_window + oracle._SPLINE_MARGIN + 2
+    assert len(recorded.times) < len(whole.times) // 3
+    np.testing.assert_array_equal(recorded.times, whole.times[-len(recorded.times):])
+    np.testing.assert_array_equal(recorded.c1, whole.c1[-len(recorded.times):])
+
+
+def test_window_before_the_recording_start_raises():
+    """A window snaps to whole periods back from its right edge (21 here); one that starts
+    a period early, or among the kept samples with less than the spline margin before it,
+    is refused on the recorded trajectory and demodulated on the whole one."""
+    omega, window, whole, recorded, _ = _recorded_and_whole(80)
+    period = 2.0 * math.pi / omega
+    inside_margin = recorded.times[5] + 0.25 * period  # 21.25 periods before t1, so 21 fitted
+    for t1 in (window[1] - 1.5 * period, inside_margin + 21 * period):
+        early = (t1 - 21.5 * period, t1)
+        demodulate(whole, omega, early)
+        with pytest.raises(ValueError, match="beyond the recorded trajectory"):
+            demodulate(recorded, omega, early)
+
+
+def test_step_attempts_are_bounded():
+    """g1 = 1e6 lies outside the bound's rate (about 2 here): the optical spring drives the
+    detuning far past it, the step collapses, and the 3000th attempt raises instead of crawling."""
+    equations = (0.0, 0.0, 1.0, 1.0, 1e6, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1e6, 0.0)
+    with _time_limit(30.0), pytest.raises(StepSizeUnderflow, match="3000 step attempts") as info:
+        oracle._dopri54_mean_field(equations, (0.0,) * 6, 1.0, 1e-6, (1e-6,) * 6)
+    assert 0.0 < info.value.t_divergence < 1.0
+
+
 @pytest.mark.slow
 def test_stats_count_every_rhs_call():
     p, bare, start, probe_scale = _oracle_check_setting()

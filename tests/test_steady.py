@@ -15,6 +15,7 @@ from oamcavity import (
     solve_steady,
     steady_residual,
 )
+from oamcavity.errors import NoConvergence
 from oamcavity.params import Detuning2Spec
 from oamcavity.steady import TOL_REL, PHI_FLOOR
 
@@ -151,6 +152,14 @@ def test_operating_point_raises_multistable_with_report():
     assert exc.value.exit_code == 3
     assert len(exc.value.report.all_roots) == 3
     assert exc.value.report.multistable
+
+
+def test_no_real_root_raises_no_convergence_without_window():
+    """finesse2 = 1e300 leaves the fixed-point polynomial no real root: the error still says so."""
+    with pytest.raises(NoConvergence, match="no real root") as exc:
+        solve_steady(derive_params(default_config(finesse2=1e300)))
+    assert exc.value.window is None
+    assert exc.value.exit_code == 4
 
 
 def test_operating_point_is_derive_plus_selected_root():
