@@ -5,7 +5,7 @@ sharing a rotational mirror, locates the spectrum's resonance valley, and
 inverts valley positions into signed topological-charge estimates.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (
     CalibrationError,

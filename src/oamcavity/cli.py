@@ -46,6 +46,7 @@ validate) refuses it with ``ConfigError: probe_power: ...`` and exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -240,25 +241,19 @@ def cmd_spectrum(args) -> int:
     params = derive_params(config)
     steady = _steady_or_exit(params, args.branch)
     spec = sample_spectrum(params, steady, args.x_lo, args.x_hi, args.n)
-    _write_csv(args.out, ["x", "T"], [spec.xs, spec.transmissions])
     flags = {"x_lo": args.x_lo, "x_hi": args.x_hi, "n": args.n, "branch": args.branch}
-    _write_manifest(args.out, "spectrum", flags, config)
-    if args.valley_out:
-        try:
-            valley = find_valley(params, steady)
-            doc = {
-                "x_star": valley.x_star,
-                "t_min": valley.t_min,
-                "curvature_sign_ok": valley.curvature_sign_ok,
-                "fwhm": valley.fwhm,
-                "window": list(valley.window),
-            }
-        except NoInteriorMinimum as err:
-            doc = {"error": "no-interior-minimum", "detail": str(err)}
-        with open(args.valley_out, "w", encoding="utf-8") as fh:
+    # an unusable --valley-out is refused before the CSV or its manifest is written
+    with open(args.valley_out, "w", encoding="utf-8") if args.valley_out else contextlib.nullcontext() as fh:
+        _write_csv(args.out, ["x", "T"], [spec.xs, spec.transmissions])
+        _write_manifest(args.out, "spectrum", flags, config)
+        if fh is not None:
+            try:
+                doc = dataclasses.asdict(find_valley(params, steady))
+            except NoInteriorMinimum as err:
+                doc = {"error": "no-interior-minimum", "detail": str(err)}
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        _write_manifest(args.valley_out, "spectrum/valley", flags, config)
+            _write_manifest(args.valley_out, "spectrum/valley", flags, config)
     print(f"wrote {args.out} ({args.n} rows)")
     return EXIT_OK
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SingularSystem
+from .errors import ConfigError, DipTooShallow, SingularSystem
 from .params import SystemParams, Violation
 from .steady import SteadyState
 
@@ -38,6 +38,8 @@ _log = logging.getLogger(__name__)
 DET_THRESHOLD = 1e-30
 #: T above this is flagged (not raised) as probe gain
 GAIN_FLOOR = 1.0 + 1e-6
+#: fixed-point steps allowed for the dressed pole; the shipped configs need 3 or 4 (40 without a valley)
+POLE_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -201,6 +203,22 @@ def transmission_at(params: SystemParams, steady: SteadyState, omega: float) -> 
     return float(transmission_many(params, steady, np.array([omega]))[0])
 
 
+def _optical_terms(params: SystemParams, steady: SteadyState, iw):
+    """(a1, s1, s2) of `c1_plus_many` at i*Omega = iw, a scalar or an array."""
+    g1, g2 = params.g1, params.g2
+    d1, d2 = steady.delta1, steady.delta2
+    hg1 = params.hbar * g1 / params.inertia
+    hg2 = params.hbar * g2 / params.inertia
+    # scalar coefficients first, so each array term costs one or two ufuncs
+    a1 = params.kappa1 + 1j * d1 - iw
+    b1 = params.kappa1 - 1j * d1 - iw
+    a2 = params.kappa2 + 1j * d2 - iw
+    b2 = params.kappa2 - 1j * d2 - iw
+    s1 = -2.0 * hg1 * g1 * abs(steady.c1) ** 2 * d1 / (a1 * b1)
+    s2 = -2.0 * hg2 * g2 * abs(steady.c2) ** 2 * d2 / (a2 * b2)
+    return a1, s1, s2
+
+
 def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarray:
     """c1+ over many probe detunings: the sideband system eliminated onto phi+.
 
@@ -218,20 +236,9 @@ def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarra
     |den| <= DET_THRESHOLD*(|mech| + |s1| + |s2|).
     """
     omegas = np.asarray(omegas, dtype=float)
-    g1, g2 = params.g1, params.g2
-    d1, d2 = steady.delta1, steady.delta2
-    c1s, c2s = steady.c1, steady.c2
-    hg1 = params.hbar * g1 / params.inertia
-    hg2 = params.hbar * g2 / params.inertia
-    # scalar coefficients first, so each array term costs one or two ufuncs
     iw = 1j * omegas
     mech = params.omega_phi**2 + iw * (iw - params.gamma_phi)
-    a1 = params.kappa1 + 1j * d1 - iw
-    b1 = params.kappa1 - 1j * d1 - iw
-    a2 = params.kappa2 + 1j * d2 - iw
-    b2 = params.kappa2 - 1j * d2 - iw
-    s1 = -2.0 * hg1 * g1 * abs(c1s) ** 2 * d1 / (a1 * b1)
-    s2 = -2.0 * hg2 * g2 * abs(c2s) ** 2 * d2 / (a2 * b2)
+    a1, s1, s2 = _optical_terms(params, steady, iw)
     den = mech + s1 + s2
 
     bad = np.abs(den) <= DET_THRESHOLD * (np.abs(mech) + np.abs(s1) + np.abs(s2))
@@ -241,8 +248,37 @@ def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarra
             f"sideband system singular at Omega = {omegas[i]:.6e} rad/s"
         )
 
+    g1, c1s = params.g1, steady.c1
+    hg1 = params.hbar * g1 / params.inertia
     phi_p = -hg1 * c1s.conjugate() * params.eps_p / (a1 * den)
     return (params.eps_p - 1j * g1 * c1s * phi_p) / a1
+
+
+def dressed_mode(params: SystemParams, steady: SteadyState) -> tuple[float, float]:
+    """(x_m, width): the dressed mechanical pole Omega_m, the root of den(Omega) = 0 near omega_phi.
+
+    den = omega_phi^2 - Omega^2 - i*gamma_phi*Omega + s1 + s2 is the kernel's
+    denominator, the mechanics with the optical spring and optical damping
+    of both cavities (Aspelmeyer, Kippenberg & Marquardt, RMP 86, 1391
+    (2014)).  Iterates Omega <- sqrt(omega_phi^2 - i*gamma_phi*Omega + s1 + s2)
+    from omega_phi until a step changes Omega by rounding only.  Returns
+    x_m = Re(Omega_m)/omega_phi - 1 and width = 2|Im Omega_m|/omega_phi.
+
+    Raises DipTooShallow when an iterate is not finite or the iteration
+    has not settled after POLE_STEPS steps.
+    """
+    omega_phi = params.omega_phi
+    omega = complex(omega_phi)
+    for step in range(1, POLE_STEPS + 1):
+        _, s1, s2 = _optical_terms(params, steady, 1j * omega)
+        new = complex(np.sqrt(omega_phi**2 - 1j * params.gamma_phi * omega + s1 + s2))
+        if not math.isfinite(abs(new)):
+            break
+        if abs(new - omega) <= 4e-16 * abs(new):  # two ulps
+            return new.real / omega_phi - 1.0, 2.0 * abs(new.imag) / omega_phi
+        omega = new
+    raise DipTooShallow(f"dressed mechanical pole not settled after {step} of {POLE_STEPS} steps "
+                        f"(iterate {new:.6e})")
 
 
 def transmission_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DipTooShallow, NoInteriorMinimum, PointFailure
 from .params import Detuning2Spec, SystemConfig, SystemParams, Violation, fingerprint
-from .response import transmission_at, transmission_many
+from .response import dressed_mode, transmission_at, transmission_many
 from .steady import SteadyState, operating_point
 
 DEFAULT_WINDOW = (-0.2, 0.2)
@@ -145,15 +145,9 @@ def find_valley(
             f"not above the rounding floor {floor:.3e}"
         )
 
-    report = ValleyReport(
-        x_star=x_star,
-        t_min=t_min,
-        curvature_sign_ok=True,
-        fwhm=None,
-        window=(x_lo, x_hi),
-    )
+    report = ValleyReport(x_star=x_star, t_min=t_min, curvature_sign_ok=True, fwhm=None, window=(x_lo, x_hi))
     # a dip shallower than the floor relative to the coarse-window median
-    # can never yield a linewidth; skip the adaptive measurement entirely
+    # can never yield a linewidth; skip the measurement entirely
     if t_min > float(np.median(ts)) - DEPTH_FLOOR:
         return report
     try:
@@ -211,49 +205,18 @@ def _half_depth_width(xs: np.ndarray, ts: np.ndarray, x_star: float, t_min: floa
 
 
 def _measure_fwhm(params: SystemParams, steady: SteadyState, valley: ValleyReport) -> float:
-    """Adaptive local linewidth: grow a sampling window around the dip.
+    """Half-depth width over x* +- 8 widths of the dressed mechanical pole, in one kernel call.
 
-    Starting narrow guarantees the dip is always well resolved; the window
-    is widened until both half-depth crossings fall inside it.  Shallow
-    dips are only classified as such once the window is wide enough that
-    the outer-sample baseline is trustworthy.
+    Raises DipTooShallow for a shallow dip, a pole that does not settle, or
+    half-depth crossings outside that window.
     """
-    def attempt(width: float) -> float:
-        xs = np.linspace(valley.x_star - width, valley.x_star + width, FWHM_POINTS)
-        ts = transmission_many(params, steady, params.omega_phi * (1.0 + xs))
+    reach = 8.0 * dressed_mode(params, steady)[1]
+    xs = np.linspace(valley.x_star - reach, valley.x_star + reach, FWHM_POINTS)
+    ts = transmission_many(params, steady, params.omega_phi * (1.0 + xs))
+    try:
         return _half_depth_width(xs, ts, valley.x_star, valley.t_min)
-
-    width = max(64.0 * X_TOL, 1e-8)
-    last_err: Exception | None = None
-    w = None
-    while width <= 2.0 * MAX_ABS_X:
-        try:
-            w = attempt(width)
-        except (DipTooShallow, ValueError) as err:
-            # too small a window sees the dip's own floor as baseline, or
-            # the crossings escape it; either way keep widening
-            last_err = err
-            width *= 4.0
-            continue
-        break
-    if w is None:
-        if isinstance(last_err, DipTooShallow):
-            raise last_err
-        raise DipTooShallow(f"could not bracket half-depth crossings: {last_err}")
-
-    # iterate the window to ~8x the measured width so the baseline samples
-    # sit clear of the dip's own tails; converges in a couple of passes
-    for _ in range(6):
-        target = min(8.0 * w, 2.0 * MAX_ABS_X)
-        try:
-            w_new = attempt(target)
-        except (DipTooShallow, ValueError):
-            break
-        done = abs(w_new - w) <= 5e-3 * w
-        w = w_new
-        if done:
-            break
-    return w
+    except ValueError as err:
+        raise DipTooShallow(f"{err} (x* +- {reach:.3e})") from err
 
 
 def charge_step_shift(config: SystemConfig) -> float:

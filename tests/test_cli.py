@@ -554,6 +554,8 @@ def test_unusable_path_exit_2(tmp_path, config_path, capsys, case):
     }[case]
     assert main(argv) == 2
     assert re.match(r"(IsADirectoryError|NotADirectoryError): ", capsys.readouterr().err)
+    if case == "valley-out-dir":  # refused before the CSV or its manifest is written
+        assert not Path(out).exists() and not Path(out + ".manifest.json").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

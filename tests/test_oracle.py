@@ -210,6 +210,7 @@ def test_transmission_oracle_decoupled_is_unity():
     assert t == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.slow
 def test_sideband_oracle_window_rule(monkeypatch):
     """`sideband_oracle` demodulates the last 21 beat periods before t_end, bit for bit,
     and `transmission_oracle` is the output relation applied to its c1+."""

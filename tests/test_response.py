@@ -17,7 +17,7 @@ from oamcavity import (
     transmission,
     transmission_at,
 )
-from oamcavity.response import c1_plus_many, transmission_many
+from oamcavity.response import _optical_terms, c1_plus_many, dressed_mode, transmission_many
 from oamcavity.steady import SteadyState
 
 
@@ -171,3 +171,22 @@ def test_batch_matches_closed_form_through_deep_dip():
     ts = transmission_many(p, st, omegas)
     ref = np.array([transmission(p, closed_form_c1p(p, st, om)) for om in omegas])
     assert np.max(np.abs(ts - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["oracle_check.json", "strong_drive_fano.json"])
+def test_dressed_pole_is_a_root_of_the_kernel_denominator(name):
+    """den(Omega_m) = 0 to rounding, near the first-order optical spring and damping.
+
+    First order (RMP 86, 1391): x_m = Re s(w)/(2w^2), width = gamma/w - Im s(w)/w^2
+    with w = omega_phi.  Measured: x_m 3.3e-12 and width 4e-6 relative from
+    first order on oracle_check, 2.1e-9 and 1.9e-4 on the Fano config.
+    """
+    p, st = operating_point(load_config(str(Path(__file__).resolve().parents[1] / "configs" / name)))
+    w = p.omega_phi
+    x_m, width = dressed_mode(p, st)
+    omega = complex(w * (1.0 + x_m), -0.5 * width * w)
+    _, s1, s2 = _optical_terms(p, st, 1j * omega)
+    assert abs(w**2 - omega**2 - 1j * p.gamma_phi * omega + s1 + s2) <= 1e-15 * w**2
+    _, s1, s2 = _optical_terms(p, st, 1j * w)
+    assert x_m == pytest.approx((s1 + s2).real / (2.0 * w**2), abs=3e-9)
+    assert width == pytest.approx(p.gamma_phi / w - (s1 + s2).imag / w**2, rel=3e-4)

@@ -289,3 +289,56 @@ def test_valley_is_closed_form_local_minimum_on_shipped_configs():
         assert v.t_min == transmission_at(p, st, p.omega_phi * (1.0 + v.x_star)), path.name
         checked.append(path.name)
     assert len(checked) >= 4, checked
+
+
+def test_valley_sits_on_the_dressed_pole_on_shipped_configs():
+    """x* is the dressed mechanical pole and the FWHM its width, narrowed by the +-8-width baseline.
+
+    Measured on the four configs with a width: |x_m - x*| <= 1.1e-10 (x* is a
+    refinement grid point within X_TOL of the minimum), width/fwhm = 1.0042936
+    (the outer samples still hold 0.43 % of a Lorentzian's depth), and the
+    closed-form T over x* +- 8*fwhm gives the reported fwhm to -2.6e-5.
+    """
+    checked = []
+    for path in sorted(CONFIGS.glob("*.json")):
+        try:
+            p, st = operating_point(load_config(str(path)))
+            v = find_valley(p, st)
+        except (Multistable, NoInteriorMinimum):
+            continue
+        if v.fwhm is None:
+            continue
+        x_m, width = response.dressed_mode(p, st)
+        assert abs(x_m - v.x_star) <= 2e-10, path.name
+        assert width / v.fwhm == pytest.approx(1.0043, abs=1e-4), path.name
+        xs = np.linspace(v.x_star - 8.0 * v.fwhm, v.x_star + 8.0 * v.fwhm, spectrum.FWHM_POINTS)
+        ts = np.array([_closed_form_t(p, st, x) for x in xs])
+        assert spectrum._half_depth_width(xs, ts, v.x_star, v.t_min) == pytest.approx(v.fwhm, rel=5e-5), path.name
+        checked.append(path.name)
+    assert len(checked) >= 4, checked
+
+
+def test_linewidth_is_one_kernel_call_after_the_curvature_pair(monkeypatch):
+    """The width window comes from the dressed pole, so the linewidth needs no search."""
+    p, st = operating_point(load_config(str(CONFIGS / "oracle_check.json")))
+    sizes = []
+    kernel = response.transmission_many
+
+    def counted(params, steady, omegas):
+        sizes.append(len(omegas))
+        return kernel(params, steady, omegas)
+
+    monkeypatch.setattr(spectrum, "transmission_many", counted)
+    v = find_valley(p, st)
+    assert v.fwhm is not None
+    assert sizes[sizes.index(2) + 1:] == [spectrum.FWHM_POINTS], sizes
+
+
+def test_unsettled_pole_leaves_no_width(monkeypatch):
+    p, st = operating_point(load_config(str(CONFIGS / "oracle_check.json")))
+    with pytest.raises(DipTooShallow, match="not settled after 1 of 64 steps"):
+        response.dressed_mode(p, dataclasses.replace(st, delta1=math.nan))
+    monkeypatch.setattr(response, "POLE_STEPS", 1)
+    with pytest.raises(DipTooShallow, match="not settled after 1 of 1 steps"):
+        response.dressed_mode(p, st)
+    assert find_valley(p, st).fwhm is None
