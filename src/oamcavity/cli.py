@@ -16,12 +16,17 @@ Exit codes (frozen for scripting).  Each error class carries its own as
        --x-measured that is not finite)
     2  a config, calibration or output path that cannot be read or
        written (any OSError: missing, a directory, no permission)
+    2  a valid config whose extreme values overflow a derived quantity
+       (kappa_i^2, g_i^2, I*omega_phi^2, gamma_phi, eps^2) or make a
+       coupling vanish: ConfigError naming the config keys it comes from
     3  multistable steady state and no --branch given: Multistable
     4  numeric failure: every other OamCavityError (NoConvergence,
        SingularSystem, NoInteriorMinimum, DipTooShallow, their base class
        PointFailure, ModelNotInvertible, CalibrationError,
        StepSizeUnderflow, WindowTooShort, PoorFit), and a `validate`
        deviation above 1e-3
+    4  a steady-state polynomial whose coefficients overflow (a detuning
+       far beyond omega_phi): NoConvergence
     5  measurement out of calibration range: OutOfRange
     6  calibration fingerprint mismatch (no --force): FingerprintMismatch
 

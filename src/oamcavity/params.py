@@ -185,7 +185,9 @@ def derive_params(config: SystemConfig) -> SystemParams:
     Raises
     ------
     ConfigError
-        if `validate(config)` reports any violation.
+        if `validate(config)` reports any violation, or if valid inputs
+        give a derived quantity that overflows, or underflows to 0 where it
+        must not; the violation names the config keys it comes from.
     """
     violations = validate(config)
     if violations:
@@ -201,10 +203,39 @@ def derive_params(config: SystemConfig) -> SystemParams:
     gamma_phi = config.rotation_frequency / config.quality_factor
     omega1 = 2.0 * math.pi * c / config.drive1_wavelength
     omega2 = 2.0 * math.pi * c / config.wavelength2
-    eps1 = math.sqrt(2.0 * kappa1 * config.drive1_power / (HBAR * omega1))
-    eps2 = math.sqrt(2.0 * kappa2 * config.drive2_power / (HBAR * omega2))
+
+    def flux_amplitude(kappa, power, omega):  # inf, not ZeroDivisionError, if h*omega underflows
+        return math.sqrt(2.0 * kappa * power / (HBAR * omega)) if HBAR * omega > 0.0 else math.inf
+
+    eps1 = flux_amplitude(kappa1, config.drive1_power, omega1)
+    eps2 = flux_amplitude(kappa2, config.drive2_power, omega2)
     # probe frequency approximated by omega_1 (relative error Omega/omega_1)
-    eps_p = math.sqrt(2.0 * kappa1 * config.probe_power / (HBAR * omega1))
+    eps_p = flux_amplitude(kappa1, config.probe_power, omega1)
+    # The model forms these squares and products: a valid config whose
+    # extreme values make one overflow to inf, or a coupling vanish although
+    # its charge does not, is refused here, naming the keys it comes from.
+    w = config.rotation_frequency
+    cavity1, cavity2 = ("cavity_length_m", "finesse_1"), ("cavity_length_m", "finesse_2")
+    derived = (  # (name, value, config keys, must be positive)
+        ("kappa1^2", kappa1 * kappa1, cavity1, False),
+        ("kappa2^2", kappa2 * kappa2, cavity2, False),
+        ("g1^2", g1 * g1, ("cavity_length_m", "charge_l1"), config.charge_l1 != 0),
+        ("g2^2", g2 * g2, ("cavity_length_m", "charge_l2"), config.charge_l2 != 0),
+        ("I*omega_phi^2", inertia * w * w,
+         ("mirror_mass_kg", "mirror_radius_m", "rotation_frequency_rad_s"), True),
+        ("gamma_phi", gamma_phi, ("rotation_frequency_rad_s", "quality_factor"), True),
+        ("eps1^2", eps1 * eps1, ("drive1_power_w", *cavity1, "drive1_wavelength_m"), False),
+        ("eps2^2", eps2 * eps2, ("drive2_power_w", *cavity2, "drive2_wavelength_m"), False),
+        ("eps_p^2", eps_p * eps_p, ("probe_power_w", *cavity1, "drive1_wavelength_m"), False),
+    )
+    violations = [
+        Violation(", ".join(keys),
+                  f"gives {name} = {value!r}, not a finite{' positive' if positive else ''} number")
+        for name, value, keys, positive in derived
+        if not (math.isfinite(value) and (value > 0.0 or not positive))
+    ]
+    if violations:
+        raise ConfigError(violations)
     return SystemParams(
         kappa1=kappa1,
         kappa2=kappa2,

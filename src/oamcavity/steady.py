@@ -13,6 +13,7 @@ and the physical branch is chosen by continuation in drive power.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,11 @@ def _polynomial_roots(params: SystemParams, scale: float) -> list[float]:
     coefficients hold g1 only as g1^2 and g1*g2, so l1 -> -l1 flips phi
     exactly when drive 2 is dark; a bare spec gives at most a quintic.  A
     vanishing p_i takes its L_i (never zero) along.
+
+    Raises
+    ------
+    NoConvergence
+        if a coefficient overflows (a detuning far beyond omega_phi, say).
     """
     w = params.omega_phi
     pull1 = params.hbar * scale * params.g1 * params.eps1**2 / (params.inertia * w**2)
@@ -148,11 +154,18 @@ def _polynomial_roots(params: SystemParams, scale: float) -> list[float]:
             return np.ones(1)
         return np.array([(kappa / w) ** 2 + (detuning / w) ** 2, 2.0 * (detuning / w) * slope, slope**2])
 
-    l1 = lorentzian(params.kappa1, params.detuning1, params.g1 / g, pull1)
-    l2 = lorentzian(params.kappa2, params.detuning2.value, slope2, pull2)
+    try:
+        l1 = lorentzian(params.kappa1, params.detuning1, params.g1 / g, pull1)
+        l2 = lorentzian(params.kappa2, params.detuning2.value, slope2, pull2)
+    except OverflowError:  # a float ** raises where * gives inf; NaN carries it to the check
+        l1 = l2 = np.array([math.nan])
     drive = _padded_sum(pull1 * l2, -pull2 * l1) / (sigma * w**2)
     # z*l1*l2 + drive; polyroots trims the trailing zero coefficients
-    roots = P.polyroots(_padded_sum(np.concatenate(([0.0], np.convolve(l1, l2))), drive))
+    coefficients = _padded_sum(np.concatenate(([0.0], np.convolve(l1, l2))), drive)
+    if not all(map(math.isfinite, coefficients.tolist())):
+        raise NoConvergence(f"the fixed-point polynomial at power fraction {scale:g} has non-finite "
+                            f"coefficients {coefficients.tolist()}")
+    roots = P.polyroots(coefficients)
     return [sigma * float(z.real) for z in roots if abs(z.imag) <= _IMAG_TOL * abs(z)]
 
 

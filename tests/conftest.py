@@ -1,4 +1,3 @@
-import math
 import time
 
 import pytest
@@ -12,6 +11,7 @@ from oamcavity import (
     sideband_response,
     solve_steady,
 )
+from oamcavity.oracle import SAMPLES_PER_PERIOD, WINDOW_PERIODS, window_times
 
 
 def steady_for(**overrides):
@@ -83,13 +83,15 @@ def oracle_equivalence():
     sideband = []
     last_traj = None
     last_omega = None
+    n_window = WINDOW_PERIODS * SAMPLES_PER_PERIOD
     for x in xs:
         omega = p.omega_phi * (1.0 + x)
+        # one period more than `sideband_oracle` samples, for the window-shift test
         traj = integrate_mean_field(
-            p, bare, (st.c1, st.c2, st.phi, 0.0), t_end, omega, eps_p_scale=probe_scale
+            p, bare, (st.c1, st.c2, st.phi, 0.0), window_times(omega, t_end, WINDOW_PERIODS + 1),
+            omega, eps_p_scale=probe_scale
         )
-        window = (t_end - 21 * 2 * math.pi / omega, t_end)
-        demod = demodulate(traj, omega, window)
+        demod = demodulate(traj.times[-n_window:], traj.c1[-n_window:], omega)
         analytic = sideband_response(p, st, omega).c1_plus * probe_scale
         sideband.append(
             {
@@ -104,7 +106,7 @@ def oracle_equivalence():
 
     relax_t_end = 40.0 / p.gamma_phi
     start = (0.9999 * st.c1, 0.9999 * st.c2, 0.9999 * st.phi, 0.0)
-    relax = integrate_mean_field(p, bare, start, relax_t_end, p.omega_phi, eps_p_scale=0.0)
+    relax = integrate_mean_field(p, bare, start, (relax_t_end,), p.omega_phi, eps_p_scale=0.0)
     relax_dev = {
         "c1": abs(relax.c1[-1] - st.c1) / abs(st.c1),
         "c2": abs(relax.c2[-1] - st.c2) / abs(st.c2),

@@ -586,6 +586,43 @@ def test_spectrum_without_real_steady_root_exit_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("NoConvergence: ")
 
 
+@pytest.mark.parametrize("key, value, code, err", [
+    ("drive1_power_w", 1e300, 2, "ConfigError: drive1_power_w, cavity_length_m, finesse_1, drive1_wavelength_m: "
+                                 "gives eps1^2 = inf"),
+    ("finesse_1", 1e-300, 2, "ConfigError: cavity_length_m, finesse_1: gives kappa1^2 = inf"),
+    ("cavity_length_m", 1e300, 2, "ConfigError: cavity_length_m, charge_l1: gives g1^2 = 0.0"),
+    ("detuning1_rad_s", 1e300, 4, "NoConvergence: the fixed-point polynomial at power fraction 1 has "
+                                  "non-finite coefficients"),
+])
+def test_extreme_config_value_exits_with_documented_code(tmp_path, capsys, key, value, code, err):
+    """Valid single-key extremes of `oracle_check.json` used to end in a traceback and exit 1
+    (LinAlgError, ZeroDivisionError, OverflowError); a derived quantity out of range exits 2
+    naming its keys, and an overflowing steady-state polynomial exits 4."""
+    doc = json.loads((CONFIGS / "oracle_check.json").read_text())
+    doc[key] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert main(["spectrum", "--config", str(cfg), "-n", "5", "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, err", [
+    ("drive2-power", "ConfigError: drive2_power_w, cavity_length_m, finesse_2, drive2_wavelength_m: "
+                     "gives eps2^2 = inf"),
+    ("charge-l1", "ConfigError: cavity_length_m, charge_l1: gives g1^2 = inf"),
+])
+def test_sweep_to_1e308_exit_2(tmp_path, capsys, axis, err):
+    """`--stop 1e308` used to end every axis with a LinAlgError traceback; the derived-quantity
+    guard refuses the first point that overflows."""
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(CONFIGS / "resonance_switch_base.json"), "--axis", axis,
+                 "--start", "0", "--stop", "1e308", "-n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(err)
+    assert not out.exists()
+
+
 def test_sweep_choices_are_the_engine_tables():
     from oamcavity.spectrum import SWEEP_AXES, SWEEP_OBSERVABLES
 

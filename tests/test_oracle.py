@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,13 +29,13 @@ from oamcavity import (
     transmission_oracle,
 )
 from oamcavity import oracle
-from oamcavity.oracle import default_t_end
+from oamcavity.oracle import default_t_end, window_times
 
 
 @pytest.mark.slow
 def test_zero_drive_zero_trajectory():
     p = derive_params(default_config(drive1_power=0.0, drive2_power=0.0, probe_power=0.0))
-    traj = integrate_mean_field(p, (p.detuning1, 0.0), None, 1e-6, p.omega_phi)
+    traj = integrate_mean_field(p, (p.detuning1, 0.0), None, np.linspace(0.0, 1e-6, 11), p.omega_phi)
     assert np.all(traj.c1 == 0) and np.all(traj.c2 == 0)
     assert np.all(traj.phi == 0) and np.all(traj.phi_dot == 0)
     assert traj.stats["steps"] >= 1
@@ -47,11 +48,11 @@ def test_decoupled_cavity_matches_analytic_solution():
                          drive2_power=0.0, probe_power=1e-13)
     p = derive_params(cfg)
     om = p.omega_phi
-    traj = integrate_mean_field(p, (p.detuning1, 0.0), None, 2e-6, om, tol=1e-12)
+    traj = integrate_mean_field(p, (p.detuning1, 0.0), None, np.linspace(0.0, 2e-6, 301), om,
+                                tol=1e-12)
     a = p.kappa1 + 1j * p.detuning1
     worst = 0.0
-    for i in range(0, len(traj.times), 7):
-        t = traj.times[i]
+    for i, t in enumerate(traj.times):
         exact = p.eps1 / a * (1 - np.exp(-a * t)) + p.eps_p / (a - 1j * om) * (
             np.exp(-1j * om * t) - np.exp(-a * t)
         )
@@ -77,7 +78,7 @@ def test_demodulate_recovers_exact_basis():
     c1 = a + b * np.exp(-1j * om * ts) + c * np.exp(1j * om * ts)
     traj = Trajectory(times=ts, c1=c1, c2=np.zeros_like(c1),
                       phi=np.zeros_like(ts), phi_dot=np.zeros_like(ts), stats={})
-    dem = demodulate(traj, om, (ts[0], ts[-1]))
+    dem = demodulate(traj.times, traj.c1, om)
     assert dem.c1s_est == pytest.approx(a, rel=1e-10)
     assert dem.c1_plus_est == pytest.approx(b, rel=1e-10)
     assert dem.c1_minus_est == pytest.approx(c, rel=1e-10)
@@ -91,7 +92,7 @@ def test_demodulate_window_too_short():
     traj = Trajectory(times=ts, c1=z, c2=z, phi=np.zeros_like(ts),
                       phi_dot=np.zeros_like(ts), stats={})
     with pytest.raises(WindowTooShort):
-        demodulate(traj, om, (ts[0], ts[-1]))
+        demodulate(traj.times, traj.c1, om)
 
 
 def test_demodulate_flags_higher_harmonics():
@@ -101,7 +102,7 @@ def test_demodulate_flags_higher_harmonics():
     traj = Trajectory(times=ts, c1=c1, c2=np.zeros_like(c1),
                       phi=np.zeros_like(ts), phi_dot=np.zeros_like(ts), stats={})
     with pytest.raises(PoorFit):
-        demodulate(traj, om, (ts[0], ts[-1]))
+        demodulate(traj.times, traj.c1, om)
 
 
 def test_default_t_end_capped():
@@ -119,7 +120,7 @@ def test_step_size_underflow_on_blowup():
     p = derive_params(default_config(drive1_power=1e-6, drive2_power=0.0, probe_power=0.0))
     p = dataclasses.replace(p, eps1=1e160)
     with pytest.raises(StepSizeUnderflow):
-        integrate_mean_field(p, (p.detuning1, 0.0), None, 1e-5, p.omega_phi)
+        integrate_mean_field(p, (p.detuning1, 0.0), None, (1e-5,), p.omega_phi)
 
 
 @pytest.mark.slow
@@ -146,7 +147,7 @@ def test_vacuum_relaxation_single_cavity():
     p, = [derive_params(default_config(drive1_power=0.1, drive2_power=0.0,
                                        quality_factor=2e3, probe_power=1e-13))]
     st = solve_steady(p).selected
-    traj = integrate_mean_field(p, bare_detunings(p, st), None, 40.0 / p.gamma_phi,
+    traj = integrate_mean_field(p, bare_detunings(p, st), None, (40.0 / p.gamma_phi,),
                                 p.omega_phi, eps_p_scale=0.0)
     assert abs(traj.c1[-1] - st.c1) / abs(st.c1) <= 1e-6
     assert abs(traj.phi[-1] - st.phi) / abs(st.phi) <= 1e-6
@@ -161,21 +162,18 @@ def test_demodulated_sideband_linear_in_probe(oracle_equivalence):
     omega = p.omega_phi
     ref = next(r for r in oracle_equivalence["sideband"] if r["x"] == 0.0)
     half_scale = 0.5 * oracle_equivalence["probe_scale"]
-    traj = integrate_mean_field(p, bare, (st.c1, st.c2, st.phi, 0.0), t_end, omega,
-                                eps_p_scale=half_scale)
-    dem = demodulate(traj, omega, (t_end - 21 * 2 * math.pi / omega, t_end))
+    dem = oracle.sideband_oracle(p, bare, omega, (st.c1, st.c2, st.phi, 0.0), t_end, half_scale)
     ratio = ref["demodulated"] / dem.c1_plus_est
     assert abs(ratio - 2.0) <= 1e-4 * 2.0
 
 
 @pytest.mark.slow
 def test_window_shift_invariance(oracle_equivalence):
-    traj = oracle_equivalence["last_traj"]
+    traj = oracle_equivalence["last_traj"]  # 22 beat periods up to t_end
     omega = oracle_equivalence["last_omega"]
-    t_end = traj.times[-1]
-    period = 2 * math.pi / omega
-    d1 = demodulate(traj, omega, (t_end - 21 * period, t_end))
-    d2 = demodulate(traj, omega, (t_end - 22 * period, t_end - period))
+    n = oracle.WINDOW_PERIODS * oracle.SAMPLES_PER_PERIOD
+    d1 = demodulate(traj.times[-n:], traj.c1[-n:], omega)
+    d2 = demodulate(traj.times[:n], traj.c1[:n], omega)  # one period earlier
     assert abs(d1.c1_plus_est - d2.c1_plus_est) <= 1e-8 * abs(d1.c1_plus_est)
 
 
@@ -187,11 +185,8 @@ def test_strong_probe_breaks_linearization(oracle_equivalence):
     omega = p.omega_phi
     t_end = oracle_equivalence["t_end"]
     strong = 0.3 * p.eps1 / p.eps_p
-    traj = integrate_mean_field(p, bare, (st.c1, st.c2, st.phi, 0.0), t_end, omega,
-                                eps_p_scale=strong)
-    window = (t_end - 21 * 2 * math.pi / omega, t_end)
     try:
-        dem = demodulate(traj, omega, window)
+        dem = oracle.sideband_oracle(p, bare, omega, (st.c1, st.c2, st.phi, 0.0), t_end, strong)
     except PoorFit:
         return  # documented breakdown
     from oamcavity import sideband_response
@@ -212,13 +207,16 @@ def test_transmission_oracle_decoupled_is_unity():
 
 @pytest.mark.slow
 def test_sideband_oracle_window_rule(monkeypatch):
-    """`sideband_oracle` demodulates the last 21 beat periods before t_end, bit for bit,
-    and `transmission_oracle` is the output relation applied to its c1+."""
+    """`sideband_oracle` demodulates the last 21 beat periods before t_end, sampled 32 times
+    a period, bit for bit, and `transmission_oracle` is the output relation applied to its c1+."""
     p = derive_params(default_config(charge_l1=0, charge_l2=0, drive1_power=1e-6,
                                      drive2_power=0.0, probe_power=1e-8))
     bare, omega, t_end = (p.detuning1, 0.0), p.omega_phi * 1.001, 4e-5
-    traj = integrate_mean_field(p, bare, None, t_end, omega)
-    want = demodulate(traj, omega, (t_end - 21 * 2 * math.pi / omega, t_end))
+    times = window_times(omega, t_end)
+    assert len(times) == 21 * 32 and times[-1] == t_end
+    np.testing.assert_allclose(np.diff(times), 2 * math.pi / omega / 32, rtol=1e-6)
+    traj = integrate_mean_field(p, bare, None, times, omega)
+    want = demodulate(traj.times, traj.c1, omega)
     got = []
     measure = oracle.sideband_oracle
 
@@ -269,55 +267,83 @@ def _oracle_check_setting():
     return p, bare_detunings(p, st), start, 1e-3 * p.eps1 / p.eps_p
 
 
-@pytest.mark.slow
-def test_stepper_takes_the_steps_of_scipy_rk45():
-    """Same step sequence as scipy's RK45 on the same equations and tolerances.
-
-    The reference right-hand side is written out here from the model
-    equations.  Step counts and RHS calls must match exactly; times and
-    states differ only by rounding that the step control carries along, so
-    they are held to 1e-9 (times relative, states against each amplitude's
-    natural scale: |c1|, |c2|, |phi| and omega_phi * |phi|).
-    """
-    from scipy.integrate import solve_ivp
-
-    p, bare, start, probe_scale = _oracle_check_setting()
-    t_end = 0.25 / p.gamma_phi  # about 2000 steps
-    omega = p.omega_phi
-    traj = integrate_mean_field(p, bare, start, t_end, omega, eps_p_scale=probe_scale)
-
+def _complex_form_rhs(p, bare, omega, ep):
+    """The model equations in complex form, written out independently of `oracle`."""
     dc1, dc2 = bare
-    ep = probe_scale * p.eps_p
 
-    def rhs(t, y):
-        c1 = y[0] + 1j * y[1]
-        c2 = y[2] + 1j * y[3]
-        phi, phid = y[4], y[5]
+    def rhs(y, t):
+        c1, c2, phi, phid = y[0] + 1j * y[1], y[2] + 1j * y[3], y[4], y[5]
         dc1_dt = -(p.kappa1 + 1j * (dc1 + p.g1 * phi)) * c1 + p.eps1 + ep * np.exp(-1j * omega * t)
         dc2_dt = -(p.kappa2 + 1j * (dc2 - p.g2 * phi)) * c2 + p.eps2
         torque = p.hbar / p.inertia * (p.g1 * abs(c1) ** 2 - p.g2 * abs(c2) ** 2)
-        ddphi = -p.gamma_phi * phid - p.omega_phi**2 * phi - torque
-        return [dc1_dt.real, dc1_dt.imag, dc2_dt.real, dc2_dt.imag, phid, ddphi]
+        return np.array([dc1_dt.real, dc1_dt.imag, dc2_dt.real, dc2_dt.imag, phid,
+                         -p.gamma_phi * phid - p.omega_phi**2 * phi - torque])
 
-    y0 = [start[0].real, start[0].imag, start[1].real, start[1].imag, start[2], start[3]]
-    ref = solve_ivp(rhs, (0.0, t_end), y0, method="RK45",
-                    rtol=traj.stats["rtol"], atol=traj.stats["atol"])
-    assert ref.success
-    assert 1500 <= traj.stats["steps"] <= 2500
-    assert traj.stats["steps"] == len(ref.t) - 1
-    assert traj.stats["nfev"] == ref.nfev
-    np.testing.assert_allclose(traj.times, ref.t, rtol=1e-9, atol=0.0)
+    return rhs
 
-    c1_ref = ref.y[0] + 1j * ref.y[1]
-    c2_ref = ref.y[2] + 1j * ref.y[3]
-    phi_scale = np.max(np.abs(ref.y[4]))
-    for got, want, scale in (
-        (traj.c1, c1_ref, np.max(np.abs(c1_ref))),
-        (traj.c2, c2_ref, np.max(np.abs(c2_ref))),
-        (traj.phi, ref.y[4], phi_scale),
-        (traj.phi_dot, ref.y[5], p.omega_phi * phi_scale),
-    ):
-        assert np.max(np.abs(got - want)) <= 1e-9 * scale
+
+def _built_rhs(monkeypatch):
+    """Record every right-hand side `integrate_mean_field` builds, each wrapped to count its calls."""
+    built = []
+    make = oracle._mean_field_rhs
+
+    def counting(equations):
+        rhs = make(equations)
+
+        def wrapped(y, t):
+            wrapped.calls += 1
+            return rhs(y, t)
+
+        wrapped.calls = 0
+        wrapped.inner = rhs
+        built.append(wrapped)
+        return wrapped
+
+    monkeypatch.setattr(oracle, "_mean_field_rhs", counting)
+    return built
+
+
+def test_rhs_matches_complex_form_equations(monkeypatch):
+    """The one right-hand side, as `integrate_mean_field` builds it from the parameters, equals
+    the complex-form equations to 1e-14 at 300 random states and times: a mistyped term or
+    constant shows here.  Each component is held against the sum of its terms' magnitudes."""
+    p, bare, start, probe_scale = _oracle_check_setting()
+    omega = p.omega_phi * (1.0 + 3e-4)
+    built = _built_rhs(monkeypatch)
+    integrate_mean_field(p, bare, start, (1e-9,), omega, eps_p_scale=probe_scale)
+    rhs = built[0].inner
+    want_rhs = _complex_form_rhs(p, bare, omega, probe_scale * p.eps_p)
+    rng = np.random.default_rng(7)
+    scale = np.array([abs(start[0])] * 2 + [abs(start[1])] * 2
+                     + [abs(start[2]), p.omega_phi * abs(start[2])])
+    for _ in range(300):
+        y = scale * rng.uniform(-2.0, 2.0, 6)
+        t = rng.uniform(0.0, default_t_end(p))
+        got, want = np.array(rhs(y, t)), want_rhs(y, t)
+        c1, c2, phi = abs(complex(y[0], y[1])), abs(complex(y[2], y[3])), abs(y[4])
+        terms = np.array([
+            p.kappa1 * c1 + abs(bare[0] + p.g1 * y[4]) * c1 + p.eps1 + probe_scale * p.eps_p,
+            p.kappa2 * c2 + abs(bare[1] - p.g2 * y[4]) * c2 + p.eps2,
+        ])
+        bound = np.array([terms[0], terms[0], terms[1], terms[1], abs(y[5]),
+                          p.gamma_phi * abs(y[5]) + p.omega_phi**2 * phi
+                          + p.hbar / p.inertia * (abs(p.g1) * c1**2 + abs(p.g2) * c2**2)])
+        assert np.all(np.abs(got - want) <= 1e-14 * bound), (y, t, got, want)
+
+
+@pytest.mark.slow
+def test_sideband_oracle_matches_tight_tolerance_run():
+    """At the default tol, c1+ lies within 1e-6 (relative) of an rtol = 1e-13 run, over 10
+    damping times of `_oracle_check_setting()` (the 20 of `validate` measure 2.4e-8 to 5.5e-7
+    on the five criterion-7 detunings)."""
+    p, bare, start, probe_scale = _oracle_check_setting()
+    omega = p.omega_phi * (1.0 + 3e-4)
+    t_end = 10.0 / p.gamma_phi
+    got = oracle.sideband_oracle(p, bare, omega, start, t_end, probe_scale)
+    traj = integrate_mean_field(p, bare, start, window_times(omega, t_end), omega, tol=1e-13,
+                                eps_p_scale=probe_scale)
+    want = demodulate(traj.times, traj.c1, omega)
+    assert abs(got.c1_plus_est - want.c1_plus_est) <= 1e-6 * abs(want.c1_plus_est)
 
 
 @contextlib.contextmanager
@@ -339,56 +365,39 @@ def _time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_stepper_matches_scipy_rk45_over_200_steps():
-    """Fast guard on every Dormand-Prince stage: a mistyped stage changes the steps.
-
-    About 200 steps of `_oracle_check_setting()` against scipy's RK45 on the
-    model equations written out here; step count and RHS calls match
-    exactly, times and states to 1e-9 (states against each amplitude's
-    scale: |c1|, |c2|, |phi| and omega_phi * |phi|).  A wrong stage can also
-    make the step size collapse, so the integration gets a time limit (it
-    takes about 0.01 s) and fails instead of crawling.
-    """
-    from scipy.integrate import solve_ivp
-
-    p, (dc1, dc2), start, probe_scale = _oracle_check_setting()
-    t_end = 0.025 / p.gamma_phi
-    omega = p.omega_phi
-    ep = probe_scale * p.eps_p
-    with _time_limit(30.0):
-        traj = integrate_mean_field(p, (dc1, dc2), start, t_end, omega, eps_p_scale=probe_scale)
-
-    def rhs(t, y):
-        c1, c2, phi, phid = y[0] + 1j * y[1], y[2] + 1j * y[3], y[4], y[5]
-        dc1_dt = -(p.kappa1 + 1j * (dc1 + p.g1 * phi)) * c1 + p.eps1 + ep * np.exp(-1j * omega * t)
-        dc2_dt = -(p.kappa2 + 1j * (dc2 - p.g2 * phi)) * c2 + p.eps2
-        torque = p.hbar / p.inertia * (p.g1 * abs(c1) ** 2 - p.g2 * abs(c2) ** 2)
-        return [dc1_dt.real, dc1_dt.imag, dc2_dt.real, dc2_dt.imag, phid,
-                -p.gamma_phi * phid - p.omega_phi**2 * phi - torque]
-
-    y0 = [start[0].real, start[0].imag, start[1].real, start[1].imag, start[2], start[3]]
-    ref = solve_ivp(rhs, (0.0, t_end), y0, method="RK45",
-                    rtol=traj.stats["rtol"], atol=traj.stats["atol"])
-    assert ref.success
-    assert 150 <= traj.stats["steps"] <= 250
-    assert traj.stats["steps"] == len(ref.t) - 1
-    assert traj.stats["nfev"] == ref.nfev
-    np.testing.assert_allclose(traj.times, ref.t, rtol=1e-9, atol=0.0)
-    phi_scale = np.max(np.abs(ref.y[4]))
-    for got, want, scale in (
-        (traj.c1, ref.y[0] + 1j * ref.y[1], np.max(np.abs(ref.y[0] + 1j * ref.y[1]))),
-        (traj.c2, ref.y[2] + 1j * ref.y[3], np.max(np.abs(ref.y[2] + 1j * ref.y[3]))),
-        (traj.phi, ref.y[4], phi_scale),
-        (traj.phi_dot, ref.y[5], p.omega_phi * phi_scale),
-    ):
-        assert np.max(np.abs(got - want)) <= 1e-9 * scale
+def _lsoda_failure(equations, y_start, rtol=1e-6):
+    """Run `oracle._lsoda` over [0, 1] s, expecting StepSizeUnderflow and no warning of any kind."""
+    with _time_limit(30.0), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(StepSizeUnderflow) as info:
+            oracle._lsoda(equations, y_start, np.array([0.0, 1.0]), rtol, (1e-6,) * 6)
+    assert caught == []
+    return info.value
 
 
 def test_nan_right_hand_side_raises_step_size_underflow():
-    """A NaN constant makes the first step NaN from a non-vacuum start; the guard raises on it."""
+    """A NaN constant makes the state NaN from a non-vacuum start; LSODA reports success on it,
+    and the finite-state check raises."""
     equations = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, math.nan)
-    with _time_limit(30.0), pytest.raises(StepSizeUnderflow):
-        oracle._dopri54_mean_field(equations, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0), 1.0, 1e-6, (1e-6,) * 6)
+    err = _lsoda_failure(equations, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    assert "not finite" in str(err)
+
+
+def test_step_attempts_are_bounded():
+    """g1 = 1e6 lies outside the bound's rate (about 2 here): the optical spring drives the
+    detuning far past it, the step collapses, and the 3000th step raises instead of crawling."""
+    equations = (0.0, 0.0, 1.0, 1.0, 1e6, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1e6, 0.0)
+    err = _lsoda_failure(equations, (0.0,) * 6)
+    assert "at most 3000 steps" in str(err) and "Excess work done" in str(err)
+    assert 0.0 < err.t_divergence < 1.0
+
+
+def test_illegal_rtol_raises_step_size_underflow():
+    """LSODA refuses a negative rtol as illegal input; that becomes StepSizeUnderflow at t = 0."""
+    equations = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0)
+    err = _lsoda_failure(equations, (0.0,) * 6, rtol=-1e-6)
+    assert "Illegal input" in str(err)
+    assert err.t_divergence == 0.0
 
 
 @pytest.mark.parametrize("omega_probe, eps_p_scale", [(math.nan, 1.0), (math.inf, 1.0),
@@ -396,109 +405,18 @@ def test_nan_right_hand_side_raises_step_size_underflow():
 def test_non_finite_probe_raises(omega_probe, eps_p_scale):
     p = derive_params(default_config(drive1_power=1e-6, drive2_power=0.0, probe_power=0.0))
     with _time_limit(30.0), pytest.raises(ValueError, match="finite"):
-        integrate_mean_field(p, (p.detuning1, 0.0), None, 1e-7, omega_probe, eps_p_scale=eps_p_scale)
+        integrate_mean_field(p, (p.detuning1, 0.0), None, (1e-7,), omega_probe, eps_p_scale=eps_p_scale)
 
 
-def _demodulate_on_whole_trajectory(traj, omega, window):
-    """`demodulate`'s projection with splines fitted on every trajectory sample."""
-    from scipy.interpolate import CubicSpline
-
-    t0, t1 = window
-    period = 2.0 * math.pi / omega
-    n_per = int(math.floor((t1 - t0) / period))
-    ts = np.linspace(t1 - n_per * period, min(t1, traj.times[-1]), min(32 * n_per, 65536))
-    c1 = CubicSpline(traj.times, traj.c1.real)(ts) + 1j * CubicSpline(traj.times, traj.c1.imag)(ts)
-    basis = np.column_stack([np.ones_like(ts), np.exp(-1j * omega * ts), np.exp(1j * omega * ts)])
-    coef, *_ = np.linalg.lstsq(basis, c1, rcond=None)
-    return coef
-
-
-def test_window_spline_matches_whole_trajectory_spline():
-    """`demodulate` fits its splines near the window only; the projection must not move.
-
-    `oracle_check.json` at Q = 2e3 with finesse1 = 500, so cavity 1 settles
-    (1/kappa1 = 5 ns) well inside the 20 beat periods (2e-6 s) integrated;
-    one window ends at the trajectory's end, one inside it.
-    """
-    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "oracle_check.json"))
-    p, st = operating_point(dataclasses.replace(cfg, quality_factor=2e3, finesse1=500.0))
-    omega = p.omega_phi
-    period = 2.0 * math.pi / omega
-    t_end = 20 * period
-    with _time_limit(30.0):
-        traj = integrate_mean_field(p, bare_detunings(p, st), (st.c1, st.c2, st.phi, 0.0), t_end,
-                                    omega, eps_p_scale=1e-3 * p.eps1 / p.eps_p)
-    assert len(traj.times) > 1000
-    for window in ((t_end - 12 * period, t_end), (3.2 * period, 17.5 * period)):
-        dem = demodulate(traj, omega, window)
-        ref = _demodulate_on_whole_trajectory(traj, omega, window)
-        for got, want in zip((dem.c1s_est, dem.c1_plus_est, dem.c1_minus_est), ref):
-            assert abs(got - want) <= 1e-12 * abs(want)
-
-
-def _recorded_and_whole(n_periods):
-    """`_oracle_check_setting()` over `n_periods` beat periods at omega_phi: the
-    `sideband_oracle` window, the whole trajectory and one recorded from the window's start."""
+def test_stats_count_every_rhs_call(monkeypatch):
+    """`stats["nfev"]` is every call of the right-hand side, counted here by a wrapper."""
     p, bare, start, probe_scale = _oracle_check_setting()
-    omega = p.omega_phi
-    t_end = n_periods * 2.0 * math.pi / omega
-    window = (t_end - oracle.WINDOW_PERIODS * 2.0 * math.pi / omega, t_end)
-    with _time_limit(30.0):
-        whole = integrate_mean_field(p, bare, start, t_end, omega, eps_p_scale=probe_scale)
-        recorded = integrate_mean_field(p, bare, start, t_end, omega, eps_p_scale=probe_scale,
-                                        t_record=window[0])
-        measured = oracle.sideband_oracle(p, bare, omega, start, t_end, probe_scale)
-    return omega, window, whole, recorded, measured
-
-
-def test_recording_from_the_window_changes_no_result_and_no_count():
-    """80 beat periods, about 2100 steps: the recorded tail demodulates bit for bit like the
-    whole trajectory, `sideband_oracle` is that measurement, and `stats` counts every step."""
-    omega, window, whole, recorded, measured = _recorded_and_whole(80)
-    assert demodulate(recorded, omega, window) == demodulate(whole, omega, window) == measured
-    for key in ("steps", "rejected_steps", "nfev"):
-        assert recorded.stats[key] == whole.stats[key]
-    assert whole.stats["steps"] == len(whole.times) - 1
-    n_window = int(np.count_nonzero(whole.times >= window[0]))
-    assert len(recorded.times) <= n_window + oracle._SPLINE_MARGIN + 2
-    assert len(recorded.times) < len(whole.times) // 3
-    np.testing.assert_array_equal(recorded.times, whole.times[-len(recorded.times):])
-    np.testing.assert_array_equal(recorded.c1, whole.c1[-len(recorded.times):])
-
-
-def test_window_before_the_recording_start_raises():
-    """A window snaps to whole periods back from its right edge (21 here); one that starts
-    a period early, or among the kept samples with less than the spline margin before it,
-    is refused on the recorded trajectory and demodulated on the whole one."""
-    omega, window, whole, recorded, _ = _recorded_and_whole(80)
-    period = 2.0 * math.pi / omega
-    inside_margin = recorded.times[5] + 0.25 * period  # 21.25 periods before t1, so 21 fitted
-    for t1 in (window[1] - 1.5 * period, inside_margin + 21 * period):
-        early = (t1 - 21.5 * period, t1)
-        demodulate(whole, omega, early)
-        with pytest.raises(ValueError, match="beyond the recorded trajectory"):
-            demodulate(recorded, omega, early)
-
-
-def test_step_attempts_are_bounded():
-    """g1 = 1e6 lies outside the bound's rate (about 2 here): the optical spring drives the
-    detuning far past it, the step collapses, and the 3000th attempt raises instead of crawling."""
-    equations = (0.0, 0.0, 1.0, 1.0, 1e6, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1e6, 0.0)
-    with _time_limit(30.0), pytest.raises(StepSizeUnderflow, match="3000 step attempts") as info:
-        oracle._dopri54_mean_field(equations, (0.0,) * 6, 1.0, 1e-6, (1e-6,) * 6)
-    assert 0.0 < info.value.t_divergence < 1.0
-
-
-@pytest.mark.slow
-def test_stats_count_every_rhs_call():
-    p, bare, start, probe_scale = _oracle_check_setting()
-    traj = integrate_mean_field(p, bare, start, 0.25 / p.gamma_phi, p.omega_phi,
-                                eps_p_scale=probe_scale)
-    stats = traj.stats
-    assert stats["rejected_steps"] > 0
-    assert stats["steps"] == len(traj.times) - 1
-    # two calls pick the first step, then six per attempted step (FSAL)
-    assert stats["nfev"] == 2 + 6 * (stats["steps"] + stats["rejected_steps"])
+    built = _built_rhs(monkeypatch)
+    traj = integrate_mean_field(p, bare, start, np.linspace(0.0, 0.025 / p.gamma_phi, 50),
+                                p.omega_phi, eps_p_scale=probe_scale)
+    assert len(built) == 1 and built[0].calls > 1000
+    assert traj.stats["nfev"] == built[0].calls
+    assert 0 < traj.stats["steps"] < traj.stats["nfev"]
 
 
 @pytest.mark.slow
@@ -508,7 +426,7 @@ def test_non_finite_initial_state_raises(index, value):
     start = [0j, 0j, 0.0, 0.0]
     start[index] = value
     with pytest.raises(ValueError, match="finite"):
-        integrate_mean_field(p, (p.detuning1, 0.0), tuple(start), 1e-7, p.omega_phi)
+        integrate_mean_field(p, (p.detuning1, 0.0), tuple(start), (1e-7,), p.omega_phi)
 
 
 @pytest.mark.slow
@@ -516,19 +434,19 @@ def test_non_finite_initial_state_raises(index, value):
 def test_non_positive_t_end_raises(t_end):
     p = derive_params(default_config(drive1_power=1e-6, drive2_power=0.0, probe_power=0.0))
     with pytest.raises(ValueError, match="t_end"):
-        integrate_mean_field(p, (p.detuning1, 0.0), None, t_end, p.omega_phi)
+        integrate_mean_field(p, (p.detuning1, 0.0), None, (t_end,), p.omega_phi)
 
 
 @pytest.mark.slow
 def test_tol_below_100_eps_is_clipped_with_warning():
     p = derive_params(default_config(drive1_power=1e-6, drive2_power=0.0, probe_power=0.0))
     with pytest.warns(UserWarning, match="machine epsilon"):
-        traj = integrate_mean_field(p, (p.detuning1, 0.0), None, 1e-9, p.omega_phi, tol=1e-20)
+        traj = integrate_mean_field(p, (p.detuning1, 0.0), None, (1e-9,), p.omega_phi, tol=1e-20)
     assert traj.stats["rtol"] == 100 * np.finfo(float).eps
 
 
 def test_import_loads_no_scipy():
-    """Only `demodulate` needs scipy; importing the package and its CLI must not load it."""
+    """Only `integrate_mean_field` needs scipy; importing the package and its CLI must not load it."""
     import oamcavity
 
     env = dict(os.environ)
