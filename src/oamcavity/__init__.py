@@ -78,6 +78,7 @@ from .steady import (
     bare_detunings,
     effective_detunings,
     operating_point,
+    operating_points,
     solve_steady,
     steady_residual,
 )

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .params import SystemParams, Violation, fingerprint
 from .spectrum import find_valley, sweep
-from .steady import operating_point
+from .steady import operating_points, point_or_raise
 
 CALIBRATION_FORMAT = "oamcavity-calibration-v1"
 MAX_FAILURE_FRACTION = 0.10
@@ -59,11 +59,10 @@ class OamEstimate:
     ambiguous_with: tuple[int, ...]
 
 
-def _entry_for_charge(params_template, charge) -> CalibrationEntry | str:
-    """The calibration entry of one charge, or the reason it failed."""
+def _entry_for_charge(charge, point) -> CalibrationEntry | str:
+    """The calibration entry of one charge from its operating point (or failure), or the reason it failed."""
     try:
-        params, steady = operating_point(replace(params_template.config, charge_l1=charge))
-        valley = find_valley(params, steady)
+        valley = find_valley(*point_or_raise(point))
     except Multistable:
         return "multistable"
     except NoInteriorMinimum:
@@ -82,8 +81,8 @@ def build_calibration(
     """Valley position per integer charge in [l_min, l_max], plus a linear fit.
 
     Per-charge failures are recorded and excluded; more than 10% failures
-    aborts with CalibrationError.  Charges are solved one after another in
-    charge order; `jobs` is accepted and ignored.
+    aborts with CalibrationError.  The charges' steady states are solved
+    together, then their valleys in turn; `jobs` is accepted and ignored.
     """
     if not (isinstance(l_min, int) and isinstance(l_max, int)):
         raise ValueError("charge bounds must be integers")
@@ -93,8 +92,9 @@ def build_calibration(
     charges = list(range(l_min, l_max + 1))
     entries = []
     failures = []
-    for charge in charges:
-        entry = _entry_for_charge(params_template, charge)
+    points = operating_points([replace(params_template.config, charge_l1=charge) for charge in charges])
+    for charge, point in zip(charges, points):
+        entry = _entry_for_charge(charge, point)
         if isinstance(entry, str):
             failures.append((charge, entry))
         else:

@@ -199,7 +199,10 @@ def derive_params(config: SystemConfig) -> SystemParams:
     kappa2 = math.pi * c / (2.0 * L * config.finesse2)
     g1 = c * config.charge_l1 / L
     g2 = c * config.charge_l2 / L
-    inertia = config.mirror_mass * config.mirror_radius**2 / 2.0
+    try:
+        inertia = config.mirror_mass * config.mirror_radius**2 / 2.0
+    except OverflowError:  # a float ** raises where * gives inf; the I*omega_phi^2 check below names it
+        inertia = math.inf
     gamma_phi = config.rotation_frequency / config.quality_factor
     omega1 = 2.0 * math.pi * c / config.drive1_wavelength
     omega2 = 2.0 * math.pi * c / config.wavelength2

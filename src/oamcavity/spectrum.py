@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, DipTooShallow, NoInteriorMinimum, PointFailure
 from .params import Detuning2Spec, SystemConfig, SystemParams, Violation, fingerprint
 from .response import dressed_mode, transmission_at, transmission_many
-from .steady import SteadyState, operating_point
+from .steady import SteadyState, operating_point, operating_points, point_or_raise
 
 DEFAULT_WINDOW = (-0.2, 0.2)
 MAX_ABS_X = 2.0
@@ -263,25 +263,26 @@ def sweep_values(axis: str, start: float, stop: float, n: int) -> list:
     if not (math.isfinite(start) and math.isfinite(stop)) or n < 1 or (n > 1 and not start < stop):
         raise ConfigError([Violation("sweep range", f"need n >= 1 and finite start < stop (start = stop "
                                      f"if n = 1), got start {start!r}, stop {stop!r}, n {n}")])
-    if axis == "charge-l1":
-        step = (stop - start) / max(n - 1, 1)
-        return [int(round(start + k * step)) for k in range(n)]
-    return [start + k * (stop - start) / max(n - 1, 1) for k in range(n)]
+    m, d = max(n - 1, 1), stop - start
+    xs = [start + (k * (d / m) if axis == "charge-l1" else k * d / m) for k in range(n)]
+    # where d overflows, the ends' weighted mean
+    xs = [x if math.isfinite(x) else start * (1 - k / m) + stop * (k / m) for k, x in enumerate(xs)]
+    return [int(round(x)) for x in xs] if axis == "charge-l1" else xs
 
 
 def sweep(config: SystemConfig, axis: str, observable: str, values) -> tuple[list[str], list[tuple]]:
     """The CSV header and a (value, observable, valid) row per value of `axis`.
 
-    Each value's config is solved once (`operating_point`) and the
-    observable read at that operating point.  A PointFailure gives the row
-    (value, nan, False) and the scan goes on.  A shift-distance scan over
-    detuning2 carries Delta_2/omega_phi instead of Delta_2.
+    All values' configs are solved together (`operating_points`), then the
+    observable is read at each operating point.  A PointFailure gives the
+    row (value, nan, False) and the scan goes on.  A shift-distance scan
+    over detuning2 carries Delta_2/omega_phi instead of Delta_2.
     """
     at, (column, measure) = SWEEP_AXES[axis], SWEEP_OBSERVABLES[observable]
     rows = []
-    for value in values:
+    for value, point in zip(values, operating_points([at(config, value) for value in values])):
         try:
-            rows.append((value, measure(*operating_point(at(config, value))), True))
+            rows.append((value, measure(*point_or_raise(point)), True))
         except PointFailure:
             rows.append((value, math.nan, False))
     if (axis, observable) == ("detuning2", "shift-distance"):

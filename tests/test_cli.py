@@ -593,6 +593,8 @@ def test_spectrum_without_real_steady_root_exit_4(tmp_path, capsys):
     ("cavity_length_m", 1e300, 2, "ConfigError: cavity_length_m, charge_l1: gives g1^2 = 0.0"),
     ("detuning1_rad_s", 1e300, 4, "NoConvergence: the fixed-point polynomial at power fraction 1 has "
                                   "non-finite coefficients"),
+    ("mirror_radius_m", 1e300, 2, "ConfigError: mirror_mass_kg, mirror_radius_m, rotation_frequency_rad_s: "
+                                  "gives I*omega_phi^2 = inf"),
 ])
 def test_extreme_config_value_exits_with_documented_code(tmp_path, capsys, key, value, code, err):
     """Valid single-key extremes of `oracle_check.json` used to end in a traceback and exit 1
@@ -621,6 +623,22 @@ def test_sweep_to_1e308_exit_2(tmp_path, capsys, axis, err):
                  "--start", "0", "--stop", "1e308", "-n", "3", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, rows", [
+    ("resonance_switch_base", [True, True, True]),
+    ("shift_distance_base", [True, False, False]),
+])
+def test_sweep_to_1e308_on_detuning2_keeps_a_finite_grid(tmp_path, config, rows):
+    """`start + k*(stop - start)/(n - 1)` overflows at k = 2 although both ends are finite; that
+    point is the weighted mean of the ends instead, so the sweep runs (it used to exit 2, "got inf")."""
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(CONFIGS / f"{config}.json"), "--axis", "detuning2", "--start", "0",
+                 "--stop", "1e308", "-n", "3", "--observable", "detuning", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()[1:]
+    assert [float(line.split(",")[0]) for line in lines] == [0.0, 5e307, 1e308]
+    assert [line.endswith(",1") for line in lines] == rows
+    assert all(line.endswith("nan,0") for line, ok in zip(lines, rows) if not ok)
 
 
 def test_sweep_choices_are_the_engine_tables():

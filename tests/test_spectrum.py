@@ -214,6 +214,9 @@ def test_sweep_values_grid_and_range_checks():
     assert sweep_values("drive2-power", 0.0, 0.25, 3) == [0.0, 0.125, 0.25]
     assert sweep_values("charge-l1", -1.0, 1.0, 5) == [-1, 0, 0, 0, 1]  # round half to even
     assert sweep_values("charge-l1", 2.6, 2.6, 1) == [3]
+    # a point whose formula overflows is the weighted mean of the (finite) ends
+    assert sweep_values("detuning2", 0.0, 1e308, 3) == [0.0, 5e307, 1e308]
+    assert sweep_values("charge-l1", -1e308, 1e308, 3) == [int(-1e308), 0, int(1e308)]
     for start, stop, n in [(0.0, 0.0, 0), (1.0, 0.0, 2), (math.nan, 1.0, 1), (0.0, math.inf, 2)]:
         with pytest.raises(ConfigError, match="sweep range"):
             sweep_values("detuning2", start, stop, n)

@@ -9,7 +9,9 @@ Builds each workload of ``<repo-root>/bench/workloads.py`` (spectrum,
 calibrate, sweep, validate) for the seed, adds the sweeps the benchmark
 skips (`EXTRA_SWEEPS`: x-star over charge-l1, drive2-power and detuning2,
 shift-distance over detuning2 and over charge-l1 on a bare detuning-2
-config, and drive-2 sweeps with invalid rows), runs every invocation once
+config, drive-2 sweeps with invalid rows, and a detuning-2 sweep whose
+steady-state polynomial overflows on every row but the first, so that one
+batched solve holds valid and failed rows), runs every invocation once
 through ``oamcavity.cli.main`` from ``<repo-root>/src`` in this process, and
 prints one line per data file (``<invocation> <file> <sha256>``) plus one
 for each invocation's exit code and one for the `validate` stdout.  The
@@ -57,6 +59,7 @@ EXTRA_SWEEPS = (
     ("detuning/drive2-power-bare", "bare", "drive2-power", 0, 0.2, 9, "detuning"),
     ("resonance-transmission/drive2-power-bistable", "bistable_demo", "drive2-power", 0, 0.25, 11,
      "resonance-transmission"),
+    ("detuning/detuning2-overflow", "shift_distance_base", "detuning2", 0, 4e162, 5, "detuning"),
 )
 
 
