@@ -66,7 +66,6 @@ from .response import (
 from .spectrum import (
     Spectrum,
     ValleyReport,
-    charge_step_shift,
     find_valley,
     linewidth,
     sample_spectrum,

@@ -2,9 +2,10 @@
 
 Subcommands: spectrum, calibrate, estimate, sweep, validate.  Every data
 file is paired with a manifest JSON carrying the resolved configuration,
-flags, tool version and parameter fingerprint, so any run can be exactly
-re-executed.  Data files contain no wall-clock information and are
-byte-identical across reruns of the same (config, flags, version).
+flags (every parsed option except the paths), tool version and parameter
+fingerprint, so any run can be exactly re-executed.  Data files contain no
+wall-clock information and are byte-identical across reruns of the same
+(config, flags, version).
 
 Exit codes (frozen for scripting).  Each error class carries its own as
 ``exit_code``; ``main`` maps any OamCavityError to it:
@@ -17,8 +18,9 @@ Exit codes (frozen for scripting).  Each error class carries its own as
     2  a config, calibration or output path that cannot be read or
        written (any OSError: missing, a directory, no permission)
     2  a valid config whose extreme values overflow a derived quantity
-       (kappa_i^2, g_i^2, I*omega_phi^2, gamma_phi, eps^2) or make a
-       coupling vanish: ConfigError naming the config keys it comes from
+       (kappa_i^2, g_i^2, omega_phi^2, I*omega_phi^2, gamma_phi, eps^2) or
+       make a coupling vanish: ConfigError naming the config keys it comes
+       from
     3  multistable steady state and no --branch given: Multistable
     4  numeric failure: every other OamCavityError (NoConvergence,
        SingularSystem, NoInteriorMinimum, DipTooShallow, their base class
@@ -31,8 +33,9 @@ Exit codes (frozen for scripting).  Each error class carries its own as
     6  calibration fingerprint mismatch (no --force): FingerprintMismatch
 
 Errors are reported on stderr as ``<ErrorClass>: <message>``; a ConfigError
-message names every offending config field.  `spectrum` without --branch
-on a multistable config instead prints the coexisting roots as JSON.
+message names every offending config field.  Every command prints a
+Multistable as the coexisting roots, ``{"error": "multistable", "roots":
+[...]}`` JSON.
 A sweep row or calibration charge that raises a PointFailure is recorded
 as invalid and the run goes on.
 
@@ -86,12 +89,10 @@ from .spectrum import (
     sweep,
     sweep_values,
 )
-from .steady import bare_detunings, operating_point, solve_steady
+from .steady import bare_detunings, operating_point, point_or_raise, solve_steady
 
-EXIT_OK = 0
-EXIT_CONFIG = ConfigError.exit_code
-EXIT_MULTISTABLE = Multistable.exit_code
-EXIT_NUMERIC = OamCavityError.exit_code
+#: parsed options that name files or dispatch rather than set a flag
+_NOT_FLAGS = ("command", "func", "config", "out", "valley_out")
 
 #: Rows formatted at a time, so no data file is held as one byte matrix.
 _BLOCK_ROWS = 4096
@@ -200,13 +201,13 @@ def _write_csv(path, header: list[str], columns) -> None:
             fh.write(rows.tobytes().translate(None, b"\0"))
 
 
-def _write_manifest(out_path, subcommand: str, flags: dict, config) -> None:
+def _write_manifest(out_path, subcommand: str, args, config) -> None:
     doc = {
         "tool": "oamcavity",
         "version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "subcommand": subcommand,
-        "flags": flags,
+        "flags": {key: value for key, value in vars(args).items() if key not in _NOT_FLAGS},
         "config": canonical_dict(config),
         "params_fingerprint": fingerprint(config),
     }
@@ -215,42 +216,24 @@ def _write_manifest(out_path, subcommand: str, flags: dict, config) -> None:
         fh.write("\n")
 
 
-def _steady_or_exit(params, branch: int | None):
-    """Solve the steady state, honoring the multistability contract."""
-    report = solve_steady(params)
-    if report.multistable and branch is None:
-        roots = [
-            {"phi": st.phi, "delta1": st.delta1, "n1": st.n1, "n2": st.n2, "branch_tag": st.branch_tag}
-            for st in report.all_roots
-        ]
-        print(
-            json.dumps({"error": "multistable", "roots": roots}, indent=2),
-            file=sys.stderr,
-        )
-        raise SystemExit(EXIT_MULTISTABLE)
-    if branch is not None:
-        if not 0 <= branch < len(report.all_roots):
-            print(
-                f"--branch {branch} out of range (have {len(report.all_roots)} roots)",
-                file=sys.stderr,
-            )
-            raise SystemExit(EXIT_CONFIG)
-        return report.all_roots[branch]
-    return report.selected
-
-
 def cmd_spectrum(args) -> int:
     if args.n < 3 or not -np.inf < args.x_lo < args.x_hi < np.inf:
         raise ConfigError([Violation("--x-lo, --x-hi, -n", "need finite x_lo < x_hi and n >= 3")])
     config = load_config(args.config)
     params = derive_params(config)
-    steady = _steady_or_exit(params, args.branch)
+    report = solve_steady(params)
+    if args.branch is None:
+        steady = point_or_raise(Multistable(report) if report.multistable else report.selected)
+    elif 0 <= args.branch < len(report.all_roots):
+        steady = report.all_roots[args.branch]
+    else:
+        n_roots = len(report.all_roots)
+        raise ConfigError([Violation("--branch", f"{args.branch} out of range (have {n_roots} roots)")])
     spec = sample_spectrum(params, steady, args.x_lo, args.x_hi, args.n)
-    flags = {"x_lo": args.x_lo, "x_hi": args.x_hi, "n": args.n, "branch": args.branch}
     # an unusable --valley-out is refused before the CSV or its manifest is written
     with open(args.valley_out, "w", encoding="utf-8") if args.valley_out else contextlib.nullcontext() as fh:
         _write_csv(args.out, ["x", "T"], [spec.xs, spec.transmissions])
-        _write_manifest(args.out, "spectrum", flags, config)
+        _write_manifest(args.out, "spectrum", args, config)
         if fh is not None:
             try:
                 doc = dataclasses.asdict(find_valley(params, steady))
@@ -258,15 +241,12 @@ def cmd_spectrum(args) -> int:
                 doc = {"error": "no-interior-minimum", "detail": str(err)}
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-            _write_manifest(args.valley_out, "spectrum/valley", flags, config)
+            _write_manifest(args.valley_out, "spectrum/valley", args, config)
     print(f"wrote {args.out} ({args.n} rows)")
-    return EXIT_OK
+    return 0
 
 
 def cmd_calibrate(args) -> int:
-    if args.l_min > args.l_max:
-        print(f"need l_min <= l_max, got [{args.l_min}, {args.l_max}]", file=sys.stderr)
-        return EXIT_CONFIG
     config = load_config(args.config)
     params = derive_params(config)
     curve = build_calibration(params, args.l_min, args.l_max, jobs=args.jobs)
@@ -276,9 +256,8 @@ def cmd_calibrate(args) -> int:
         ["l1", "x_star", "fwhm"],
         zip(*[(e.charge, e.x_star, e.fwhm if e.fwhm is not None else float("nan")) for e in curve.entries]),
     )
-    flags = {"l_min": args.l_min, "l_max": args.l_max, "jobs": args.jobs}
-    _write_manifest(args.out, "calibrate", flags, config)
-    _write_manifest(str(args.out) + ".csv", "calibrate", flags, config)
+    _write_manifest(args.out, "calibrate", args, config)
+    _write_manifest(str(args.out) + ".csv", "calibrate", args, config)
     if len(curve.entries) == 1:
         print("warning: single-entry calibration, linear fit undefined", file=sys.stderr)
     if curve.lin_fit is not None:
@@ -290,7 +269,7 @@ def cmd_calibrate(args) -> int:
         )
     else:
         print(f"calibration: {len(curve.entries)} entries, linear fit undefined")
-    return EXIT_OK
+    return 0
 
 
 def cmd_estimate(args) -> int:
@@ -302,19 +281,8 @@ def cmd_estimate(args) -> int:
             raise FingerprintMismatch(
                 "calibration fingerprint does not match the supplied config (use --force to override)"
             )
-    est = estimate_oam(curve, args.x_measured)
-    print(
-        json.dumps(
-            {
-                "l_hat": est.l_hat,
-                "x_residual": est.x_residual,
-                "ambiguous_with": list(est.ambiguous_with),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
-    return EXIT_OK
+    print(json.dumps(dataclasses.asdict(estimate_oam(curve, args.x_measured)), indent=2, sort_keys=True))
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -323,17 +291,9 @@ def cmd_sweep(args) -> int:
     values = sweep_values(args.axis, args.start, args.stop, args.n)
     header, rows = sweep(config, args.axis, args.observable, values)
     _write_csv(args.out, header, zip(*rows))
-    flags = {
-        "axis": args.axis,
-        "start": args.start,
-        "stop": args.stop,
-        "n": args.n,
-        "observable": args.observable,
-        "jobs": args.jobs,
-    }
-    _write_manifest(args.out, "sweep", flags, config)
+    _write_manifest(args.out, "sweep", args, config)
     print(f"wrote {args.out} ({len(rows)} rows)")
-    return EXIT_OK
+    return 0
 
 
 def cmd_validate(args) -> int:
@@ -372,9 +332,9 @@ def cmd_validate(args) -> int:
               f"demodulated {abs(demod.c1_plus_est):.6e}, rel dev {rel:.3e}")
     print(f"max relative deviation: {worst:.6e}")
     if worst <= 1e-3:
-        return EXIT_OK
+        return 0
     print("linearized response and time-domain oracle disagree beyond 1e-3", file=sys.stderr)
-    return EXIT_NUMERIC
+    return OamCavityError.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,13 +391,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Run one command; the only place where a raised error becomes an exit status and a stderr report."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except OSError as err:  # only input and output files are opened
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return ConfigError.exit_code
+    except Multistable as err:
+        roots = [{"phi": st.phi, "delta1": st.delta1, "n1": st.n1, "n2": st.n2, "branch_tag": st.branch_tag}
+                 for st in err.report.all_roots]
+        print(json.dumps({"error": "multistable", "roots": roots}, indent=2), file=sys.stderr)
+        return err.exit_code
     except OamCavityError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return err.exit_code

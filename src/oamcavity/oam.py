@@ -81,13 +81,14 @@ def build_calibration(
     """Valley position per integer charge in [l_min, l_max], plus a linear fit.
 
     Per-charge failures are recorded and excluded; more than 10% failures
-    aborts with CalibrationError.  The charges' steady states are solved
-    together, then their valleys in turn; `jobs` is accepted and ignored.
+    aborts with CalibrationError, and l_min > l_max is a ConfigError.  The
+    charges' steady states are solved together, then their valleys in turn;
+    `jobs` is accepted and ignored.
     """
     if not (isinstance(l_min, int) and isinstance(l_max, int)):
         raise ValueError("charge bounds must be integers")
     if l_min > l_max:
-        raise ValueError(f"need l_min <= l_max, got [{l_min}, {l_max}]")
+        raise ConfigError([Violation("l_min, l_max", f"need l_min <= l_max, got [{l_min}, {l_max}]")])
 
     charges = list(range(l_min, l_max + 1))
     entries = []
@@ -138,10 +139,11 @@ def detuning_curve(params_template: SystemParams, l_min: int, l_max: int):
     """Normalized effective detuning (Delta_1 - omega_phi)/omega_phi per charge.
 
     The steady-state half of the calibration, no spectra involved: the
-    `sweep` of the detuning over charge-l1, with None for an invalid row.
+    `sweep` of the detuning over charge-l1, with None for an invalid row;
+    ConfigError for l_min > l_max.
     """
     if l_min > l_max:
-        raise ValueError(f"need l_min <= l_max, got [{l_min}, {l_max}]")
+        raise ConfigError([Violation("l_min, l_max", f"need l_min <= l_max, got [{l_min}, {l_max}]")])
     _, rows = sweep(params_template.config, "charge-l1", "detuning", range(l_min, l_max + 1))
     return [(charge, value if valid else None) for charge, value, valid in rows]
 

@@ -224,6 +224,7 @@ def derive_params(config: SystemConfig) -> SystemParams:
         ("kappa2^2", kappa2 * kappa2, cavity2, False),
         ("g1^2", g1 * g1, ("cavity_length_m", "charge_l1"), config.charge_l1 != 0),
         ("g2^2", g2 * g2, ("cavity_length_m", "charge_l2"), config.charge_l2 != 0),
+        ("omega_phi^2", w * w, ("rotation_frequency_rad_s",), True),
         ("I*omega_phi^2", inertia * w * w,
          ("mirror_mass_kg", "mirror_radius_m", "rotation_frequency_rad_s"), True),
         ("gamma_phi", gamma_phi, ("rotation_frequency_rad_s", "quality_factor"), True),

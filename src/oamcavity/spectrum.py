@@ -83,19 +83,14 @@ def sample_spectrum(
     )
 
 
-def find_valley(
-    params: SystemParams,
-    steady: SteadyState,
-    window: tuple[float, float] = DEFAULT_WINDOW,
-    n_coarse: int = COARSE_POINTS,
-) -> ValleyReport:
+def find_valley(params: SystemParams, steady: SteadyState) -> ValleyReport:
     """Locate the resonance valley: dT/dx = 0 with d2T/dx2 > 0.
 
-    Coarse grid (1024 points), then grid rounds of one kernel call each that
-    shrink the bracket to the argmin's neighbours until it is 1e-9 wide in x.
-    If the coarse minimum lands on a window boundary the window is doubled,
-    up to |x| <= 2, before giving up.  The second difference at +-1e-8 must
-    clear CURVATURE_FLOOR_EPS*eps*T_min.
+    Coarse grid (COARSE_POINTS over DEFAULT_WINDOW), then grid rounds of one
+    kernel call each that shrink the bracket to the argmin's neighbours until
+    it is 1e-9 wide in x.  If the coarse minimum lands on a window boundary
+    the window is doubled, up to |x| <= 2, before giving up.  The second
+    difference at +-1e-8 must clear CURVATURE_FLOOR_EPS*eps*T_min.
 
     Raises
     ------
@@ -103,16 +98,13 @@ def find_valley(
         flat or boundary-running spectra after maximal expansion, or a
         minimum whose curvature is at rounding level.
     """
-    x_lo, x_hi = window
-    if not x_lo < x_hi:
-        raise ValueError(f"invalid window [{x_lo}, {x_hi}]")
-
+    x_lo, x_hi = DEFAULT_WINDOW
     while True:
-        xs = np.linspace(x_lo, x_hi, n_coarse)
+        xs = np.linspace(x_lo, x_hi, COARSE_POINTS)
         ts = transmission_many(params, steady, params.omega_phi * (1.0 + xs))
         i = int(np.argmin(ts))
         flat = float(ts.max() - ts.min()) <= 1e-13 * max(1.0, float(np.abs(ts).max()))
-        if not flat and 0 < i < n_coarse - 1:
+        if not flat and 0 < i < COARSE_POINTS - 1:
             break
         if x_lo <= -MAX_ABS_X and x_hi >= MAX_ABS_X:
             raise NoInteriorMinimum(
@@ -219,16 +211,11 @@ def _measure_fwhm(params: SystemParams, steady: SteadyState, valley: ValleyRepor
         raise DipTooShallow(f"{err} (x* +- {reach:.3e})") from err
 
 
-def charge_step_shift(config: SystemConfig) -> float:
-    """|x*(l1+1) - x*(l1)| at the config's own charge l1 and detuning-2 spec.
+def _step_shift(params: SystemParams, steady: SteadyState) -> float:
+    """|x*(l1+1) - x*(l1)| from the operating point at l1, at its own detuning-2 spec.
 
     Raises what operating_point and find_valley raise for either charge.
     """
-    return _step_shift(*operating_point(config))
-
-
-def _step_shift(params: SystemParams, steady: SteadyState) -> float:
-    """`charge_step_shift` from the operating point at l1."""
     x_star = find_valley(params, steady).x_star
     above = replace(params.config, charge_l1=params.config.charge_l1 + 1)
     return abs(find_valley(*operating_point(above)).x_star - x_star)

@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -6,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,7 @@ from oamcavity import (
 )
 from oamcavity import cli
 from oamcavity.cli import _write_csv, main
-from oamcavity.spectrum import DEFAULT_WINDOW
+from oamcavity.spectrum import DEFAULT_WINDOW, SWEEP_OBSERVABLES
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BISTABLE_DEMO = str(CONFIGS / "bistable_demo.json")
@@ -72,6 +75,7 @@ def test_spectrum_minimal_rows(tmp_path, config_path, capsys):
     assert manifest["subcommand"] == "spectrum"
     assert manifest["params_fingerprint"]
     assert manifest["config"]["charge_l1"] == 50
+    assert manifest["flags"] == {"x_lo": -0.1, "x_hi": 0.1, "n": 3, "branch": None}
 
 
 def test_spectrum_rejects_bad_range(tmp_path, config_path):
@@ -221,21 +225,24 @@ def test_invalid_value_exit_2(tmp_path, capsys):
 def test_multistable_aborts_without_branch(tmp_path, capsys):
     cfg = write_config(tmp_path / "bi.json", drive1_power_w=0.4)
     out = tmp_path / "spec.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--config", cfg, "-n", "11", "--out", str(out)])
-    assert exc.value.code == 3
+    assert main(["spectrum", "--config", cfg, "-n", "11", "--out", str(out)]) == 3
     roots = json.loads(capsys.readouterr().err)
     assert roots["error"] == "multistable"
     assert len(roots["roots"]) == 3
 
 
-def test_multistable_with_branch_runs(tmp_path):
+def test_multistable_with_branch_runs(tmp_path, capsys):
     cfg = write_config(tmp_path / "bi.json", drive1_power_w=0.4)
     out = tmp_path / "spec.csv"
     code = main(["spectrum", "--config", cfg, "-n", "11", "--x-lo", "-0.1",
                  "--x-hi", "0.1", "--out", str(out), "--branch", "2"])
     assert code == 0
     assert len(out.read_text().splitlines()) == 12
+    # a branch beyond the coexisting roots is a command-line error
+    out.unlink()
+    assert main(["spectrum", "--config", BISTABLE_DEMO, "-n", "11", "--out", str(out), "--branch", "9"]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError: --branch")
+    assert not out.exists()
 
 
 def test_spectrum_outputs_deterministic(tmp_path, config_path):
@@ -260,9 +267,10 @@ def test_spectrum_valley_json(tmp_path, config_path):
     assert abs(doc["x_star"]) < 1e-6
 
 
-def test_calibrate_bounds_exit_2(tmp_path, config_path):
+def test_calibrate_bounds_exit_2(tmp_path, config_path, capsys):
     assert main(["calibrate", "--config", config_path, "--l-min", "5", "--l-max", "4",
                  "--out", str(tmp_path / "c.json")]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError:")
 
 
 def test_calibrate_multistable_exit_4(tmp_path, capsys):
@@ -284,6 +292,9 @@ def test_calibrate_single_entry_warns(tmp_path, config_path, capsys):
     assert len(doc["entries"]) == 1
     csv_lines = (tmp_path / "cal.json.csv").read_text().splitlines()
     assert csv_lines[0] == "l1,x_star,fwhm"
+    for manifest in ("cal.json.manifest.json", "cal.json.csv.manifest.json"):
+        flags = json.loads((tmp_path / manifest).read_text())["flags"]
+        assert flags == {"l_min": 30, "l_max": 30, "jobs": 1}
 
 
 def synthetic_calibration(path, fingerprint="synthetic", slope=0.01, fwhm=0.012):
@@ -416,6 +427,9 @@ def test_sweep_detuning_observable(tmp_path, config_path):
     assert values[0] == pytest.approx(0.0, abs=1e-8)
     assert values[2] > 0.5  # strong drive-2 pushes the detuning up for l1 > 0
     assert all(r[2] == "1" for r in rows)
+    flags = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["flags"]
+    assert flags == {"axis": "drive2-power", "start": 0.0, "stop": 0.1, "n": 3, "observable": "detuning",
+                     "jobs": 1}
 
 
 def test_sweep_transmission_switch(tmp_path, config_path):
@@ -595,6 +609,7 @@ def test_spectrum_without_real_steady_root_exit_4(tmp_path, capsys):
                                   "non-finite coefficients"),
     ("mirror_radius_m", 1e300, 2, "ConfigError: mirror_mass_kg, mirror_radius_m, rotation_frequency_rad_s: "
                                   "gives I*omega_phi^2 = inf"),
+    ("rotation_frequency_rad_s", 1e160, 2, "ConfigError: rotation_frequency_rad_s: gives omega_phi^2 = inf"),
 ])
 def test_extreme_config_value_exits_with_documented_code(tmp_path, capsys, key, value, code, err):
     """Valid single-key extremes of `oracle_check.json` used to end in a traceback and exit 1
@@ -608,6 +623,98 @@ def test_extreme_config_value_exits_with_documented_code(tmp_path, capsys, key, 
     assert main(["spectrum", "--config", str(cfg), "-n", "5", "--out", str(out)]) == code
     assert capsys.readouterr().err.startswith(err)
     assert not out.exists()
+
+
+ORACLE_CHECK = json.loads((CONFIGS / "oracle_check.json").read_text())
+#: the failure-contract test sets one of these keys at a time (or drops it), to one of these values
+CONTRACT_KEYS = sorted(ORACLE_CHECK) + ["drive2_wavelength_m", "detuning2_bare_rad_s"]
+CONTRACT_VALUES = [0, 1e-300, -1e-300, 1e300, -1e300, -1, "x", True, None, 10**400, 1e160, 1e-160]
+#: the estimate test's calibration matches the unedited config
+CONTRACT_FINGERPRINT = oamcavity.fingerprint(oamcavity.config_from_dict(ORACLE_CHECK), mask_charge_l1=True)
+#: argv per command; {config} is the config path, {out} the directory of every other file
+CONTRACT_ARGV = {
+    "spectrum": ["spectrum", "--config", "{config}", "-n", "5", "--out", "{out}/o.csv",
+                 "--valley-out", "{out}/v.json"],
+    "sweep": ["sweep", "--config", "{config}", "-n", "3", "--out", "{out}/s.csv"],
+    "calibrate": ["calibrate", "--config", "{config}", "--l-min", "1", "--l-max", "3",
+                  "--out", "{out}/c.json"],
+    "estimate": ["estimate", "--config", "{config}", "--calibration", "{out}/cal.json"],
+}
+CONTRACT_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(CONTRACT_KEYS), st.sampled_from(CONTRACT_VALUES)),
+    st.tuples(st.just("drop"), st.sampled_from(CONTRACT_KEYS), st.none()),
+    st.tuples(st.just("path"), st.sampled_from(["config-missing", "config-dir", "out-under-file"]),
+              st.none()),
+)
+
+
+def _unmarked_non_finite(path: Path) -> list[float]:
+    """The values of an output file that are not finite, apart from the documented nan markers."""
+    if path.suffix != ".csv":
+        def numbers(doc):
+            if isinstance(doc, dict):
+                doc = list(doc.values())
+            if isinstance(doc, list):
+                return [v for item in doc for v in numbers(item)]
+            return [doc] if isinstance(doc, float) else []
+        values = numbers(json.loads(path.read_text()))
+    else:
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        values = []
+        for row in rows:
+            if header[-1] == "valid" and row[1:] == ["nan", "0"]:  # an invalid sweep row
+                row = row[:1]
+            elif header[-1] == "fwhm" and row[-1] == "nan":  # a calibrated charge without a linewidth
+                row = row[:-1]
+            values += map(float, row)
+    return [v for v in values if not math.isfinite(v)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(command=st.sampled_from(list(CONTRACT_ARGV)), edit=CONTRACT_EDITS,
+       sweep=st.tuples(st.sampled_from([("drive2-power", "0", "0.2"), ("detuning2", "-3e7", "3e7"),
+                                        ("charge-l1", "1", "3")]), st.sampled_from(list(SWEEP_OBSERVABLES))),
+       x_measured=st.sampled_from(["0.03", "0.08", "nan"]))
+def test_cli_failure_contract(command, edit, sweep, x_measured):
+    """Any one-key edit of `oracle_check.json`, or an unusable path, makes `main` return a documented
+    exit code, never raise; exit 0 leaves only finite values or the documented nan markers."""
+    kind, key, value = edit
+    with tempfile.TemporaryDirectory(prefix="oamcavity-contract-") as tmp:
+        doc, config, out = dict(ORACLE_CHECK), Path(tmp) / "c.json", Path(tmp) / "out"
+        out.mkdir()
+        if kind == "set":
+            doc[key] = value
+        elif kind == "drop":
+            doc.pop(key, None)
+        config.write_text(json.dumps(doc))
+        synthetic_calibration(out / "cal.json", fingerprint=CONTRACT_FINGERPRINT)
+        if key == "config-missing":
+            config = Path(tmp) / "absent.json"
+        elif key == "config-dir":
+            config = out
+        elif key == "out-under-file":
+            out = config
+        argv = [a.format(config=config, out=out) for a in CONTRACT_ARGV[command]]
+        if command == "sweep":
+            (axis, start, stop), observable = sweep
+            argv += ["--axis", axis, f"--start={start}", f"--stop={stop}", "--observable", observable]
+        elif command == "estimate":
+            argv += [f"--x-measured={x_measured}"]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                pytest.fail(f"{argv} raised SystemExit({exc.code!r}) instead of returning")
+        assert code in {0, 2, 3, 4, 5, 6}, argv
+        if code == 0:
+            written = [p for p in Path(tmp, "out").iterdir() if p.name != "cal.json"]
+            assert written or command == "estimate"
+            for path in written:
+                assert _unmarked_non_finite(path) == [], (argv, path.name)
+            if command == "estimate":
+                assert all(math.isfinite(v) for v in json.loads(stdout.getvalue()).values()
+                           if isinstance(v, float)), argv
 
 
 @pytest.mark.parametrize("axis, err", [
@@ -697,7 +804,9 @@ def test_zero_probe_power_refused_where_t_is_measured(tmp_path, capsys, argv, co
 
 def test_validate_multistable_exit_3(capsys):
     assert main(["validate", "--config", BISTABLE_DEMO, "-n", "1"]) == 3
-    assert capsys.readouterr().err.startswith("Multistable: 3 coexisting steady states")
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "multistable"
+    assert len(doc["roots"]) == 3
 
 
 def _documented_exit_codes() -> dict[str, int]:

@@ -161,10 +161,12 @@ def test_weak_drive_valley_placement_and_depth(weak_dark):
     assert v.fwhm == pytest.approx(fwhm_expected, rel=0.05)
 
 
-def test_refinement_consistency(weak_dark):
+def test_refinement_consistency(weak_dark, monkeypatch):
     p, st = weak_dark
-    v1 = find_valley(p, st, n_coarse=1024)
-    v2 = find_valley(p, st, n_coarse=2048)
+    monkeypatch.setattr(spectrum, "COARSE_POINTS", 1024)
+    v1 = find_valley(p, st)
+    monkeypatch.setattr(spectrum, "COARSE_POINTS", 2048)
+    v2 = find_valley(p, st)
     assert abs(v1.x_star - v2.x_star) < 1e-9
 
 
@@ -242,14 +244,15 @@ def test_detuning_curve_and_shift_distance_are_sweep_rows():
     assert repr(shift_distance(tmpl, 5, [0.0, 0.5 * omega])) == repr(rows)
 
 
-def test_rounding_level_minimum_is_not_a_valley():
+def test_rounding_level_minimum_is_not_a_valley(monkeypatch):
     """T - 1 spans about 9e-16 on (-0.8, 0.8): no minimum there clears the rounding floor."""
     cfg = load_config(str(CONFIGS / "shift_distance_base.json"))
     cfg = dataclasses.replace(cfg, charge_l1=51,
                               detuning2=Detuning2Spec("effective", -cfg.rotation_frequency))
     p, st = operating_point(cfg)
+    monkeypatch.setattr(spectrum, "DEFAULT_WINDOW", (-0.8, 0.8))
     with pytest.raises(NoInteriorMinimum):
-        find_valley(p, st, (-0.8, 0.8))
+        find_valley(p, st)
 
 
 def test_refinement_makes_few_kernel_calls(monkeypatch):

@@ -11,13 +11,15 @@ skips (`EXTRA_SWEEPS`: x-star over charge-l1, drive2-power and detuning2,
 shift-distance over detuning2 and over charge-l1 on a bare detuning-2
 config, drive-2 sweeps with invalid rows, and a detuning-2 sweep whose
 steady-state polynomial overflows on every row but the first, so that one
-batched solve holds valid and failed rows), runs every invocation once
-through ``oamcavity.cli.main`` from ``<repo-root>/src`` in this process, and
-prints one line per data file (``<invocation> <file> <sha256>``) plus one
-for each invocation's exit code and one for the `validate` stdout.  The
-bench is imported, never modified; inputs and outputs go to a temporary
-directory.  The extra sweeps take the shipped configs and do not depend on
-the seed.
+batched solve holds valid and failed rows) and the invocations that must
+fail (`FAILURE_RUNS`), runs every invocation once through
+``oamcavity.cli.main`` from ``<repo-root>/src`` in this process, and prints
+one line per data file (``<invocation> <file> <sha256>``), one per
+invocation with its exit code (``exit <code>``, or ``exception <Type>``
+for an exception that escapes ``main``) and the sha256 of its stderr, and
+one for the `validate` stdout.  The bench is imported, never modified;
+inputs and outputs go to a temporary directory.  The extra sweeps and the
+failure runs take the shipped configs and do not depend on the seed.
 
 Two checkouts produce byte-identical outputs exactly when
 
@@ -61,6 +63,17 @@ EXTRA_SWEEPS = (
      "resonance-transmission"),
     ("detuning/detuning2-overflow", "shift_distance_base", "detuning2", 0, 4e162, 5, "detuning"),
 )
+#: (name, config, argv); config is a stem under configs/ or "rotation_overflow": oracle_check.json
+#: at rotation_frequency_rad_s = 1e160, whose omega_phi^2 overflows.  "{out}" is an output path.
+FAILURE_RUNS = (
+    ("spectrum/multistable", "bistable_demo", ["spectrum", "-n", "11", "--out", "{out}"]),
+    ("spectrum/branch-out-of-range", "bistable_demo",
+     ["spectrum", "-n", "11", "--branch", "9", "--out", "{out}"]),
+    ("calibrate/empty-range", "oracle_check",
+     ["calibrate", "--l-min", "5", "--l-max", "4", "--out", "{out}"]),
+    ("validate/multistable", "bistable_demo", ["validate", "-n", "1"]),
+    ("spectrum/rotation-overflow", "rotation_overflow", ["spectrum", "-n", "5", "--out", "{out}"]),
+)
 
 
 def extra_sweeps(workloads, root: Path, workdir: Path) -> list:
@@ -80,6 +93,22 @@ def extra_sweeps(workloads, root: Path, workdir: Path) -> list:
     return ops
 
 
+def failure_runs(workloads, root: Path, workdir: Path) -> list:
+    """One `workloads.Op` per `FAILURE_RUNS` row, with no data file to digest."""
+    overflow = json.loads((root / "configs" / "oracle_check.json").read_text(encoding="utf-8"))
+    overflow["rotation_frequency_rad_s"] = 1e160
+    workdir.mkdir(parents=True)
+    (workdir / "rotation_overflow.json").write_text(json.dumps(overflow, indent=2, sort_keys=True) + "\n",
+                                                    encoding="utf-8")
+    ops = []
+    for name, stem, (command, *args) in FAILURE_RUNS:
+        config = (workdir if stem == "rotation_overflow" else root / "configs") / f"{stem}.json"
+        out = str(workdir / (name.replace("/", "_") + ".out"))
+        argv = [command, "--config", str(config), *(out if a == "{out}" else a for a in args)]
+        ops.append(workloads.Op(f"fail/{name}", argv, []))
+    return ops
+
+
 def digests(root: Path, seed: int) -> list[str]:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     import workloads
@@ -96,14 +125,21 @@ def digests(root: Path, seed: int) -> list[str]:
             wl.write_inputs()
             runs += [(name, op) for op in wl.ops]
         runs += [("extra", op) for op in extra_sweeps(workloads, root, Path(tmp) / "extra")]
+        runs += [("fail", op) for op in failure_runs(workloads, root, Path(tmp) / "fail")]
         for name, op in runs:
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                rc = cli.main(op.argv)
-            lines.append(f"{op.name} exit {rc}")
-            for path in op.data:
-                digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-                lines.append(f"{op.name} {Path(path).name} {digest}")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    status = f"exit {cli.main(op.argv)}"
+                except SystemExit as exc:  # the status a shell would see
+                    status = f"exit {exc.code}"
+                except Exception as exc:
+                    status = f"exception {type(exc).__name__}"
+            err_digest = hashlib.sha256(stderr.getvalue().encode()).hexdigest()
+            lines.append(f"{op.name} {status} stderr {err_digest}")
+            for path in map(Path, op.data):
+                digest = hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "missing"
+                lines.append(f"{op.name} {path.name} {digest}")
             if name == "validate":
                 digest = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
                 lines.append(f"{op.name} stdout {digest}")
