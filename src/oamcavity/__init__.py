@@ -64,7 +64,6 @@ from .response import (
     transmission_at,
 )
 from .spectrum import (
-    Spectrum,
     ValleyReport,
     find_valley,
     linewidth,

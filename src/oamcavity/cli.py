@@ -29,6 +29,8 @@ Exit codes (frozen for scripting).  Each error class carries its own as
        deviation above 1e-3
     4  a steady-state polynomial whose coefficients overflow (a detuning
        far beyond omega_phi): NoConvergence
+    4  an optical-spring term that overflows (Delta_i^2 or g_i*N_i*Delta_i
+       not finite) or a kernel denominator that is not finite: SingularSystem
     5  measurement out of calibration range: OutOfRange
     6  calibration fingerprint mismatch (no --force): FingerprintMismatch
 
@@ -37,7 +39,10 @@ message names every offending config field.  Every command prints a
 Multistable as the coexisting roots, ``{"error": "multistable", "roots":
 [...]}`` JSON.
 A sweep row or calibration charge that raises a PointFailure is recorded
-as invalid and the run goes on.
+as invalid and the run goes on (`spectrum.scan`); a calibration records
+the error's ``reason``, the word the ``--valley-out`` and multistable JSON
+carry under "error".  `spectrum` writes `sample_spectrum`'s (xs, ts) as
+x,T; a valley's FWHM is `spectrum.linewidth(xs, ts, x_star, t_min)`.
 
 Config keys and their checks (``params.FIELDS``): strictly positive
 mirror_radius_m, mirror_mass_kg, rotation_frequency_rad_s, quality_factor,
@@ -229,16 +234,16 @@ def cmd_spectrum(args) -> int:
     else:
         n_roots = len(report.all_roots)
         raise ConfigError([Violation("--branch", f"{args.branch} out of range (have {n_roots} roots)")])
-    spec = sample_spectrum(params, steady, args.x_lo, args.x_hi, args.n)
+    xs, ts = sample_spectrum(params, steady, args.x_lo, args.x_hi, args.n)
     # an unusable --valley-out is refused before the CSV or its manifest is written
     with open(args.valley_out, "w", encoding="utf-8") if args.valley_out else contextlib.nullcontext() as fh:
-        _write_csv(args.out, ["x", "T"], [spec.xs, spec.transmissions])
+        _write_csv(args.out, ["x", "T"], [xs, ts])
         _write_manifest(args.out, "spectrum", args, config)
         if fh is not None:
             try:
                 doc = dataclasses.asdict(find_valley(params, steady))
             except NoInteriorMinimum as err:
-                doc = {"error": "no-interior-minimum", "detail": str(err)}
+                doc = {"error": err.reason, "detail": str(err)}
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
             _write_manifest(args.valley_out, "spectrum/valley", args, config)
@@ -401,7 +406,7 @@ def main(argv=None) -> int:
     except Multistable as err:
         roots = [{"phi": st.phi, "delta1": st.delta1, "n1": st.n1, "n2": st.n2, "branch_tag": st.branch_tag}
                  for st in err.report.all_roots]
-        print(json.dumps({"error": "multistable", "roots": roots}, indent=2), file=sys.stderr)
+        print(json.dumps({"error": err.reason, "roots": roots}, indent=2), file=sys.stderr)
         return err.exit_code
     except OamCavityError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)

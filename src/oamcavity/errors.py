@@ -25,8 +25,13 @@ class PointFailure(OamCavityError):
     """One operating point or spectrum has no usable result.
 
     Sweeps record it as an invalid row and calibrations as a failed
-    charge; a run that needs that single point fails with it.
+    charge, under its ``reason``: the class name unless a subclass says
+    otherwise.  A run that needs that single point fails with it.
     """
+
+    @property
+    def reason(self) -> str:
+        return type(self).__name__
 
 
 class NoConvergence(PointFailure):
@@ -55,6 +60,7 @@ class Multistable(PointFailure):
     """
 
     exit_code = 3
+    reason = "multistable"
 
     def __init__(self, report):
         super().__init__(f"{len(report.all_roots)} coexisting steady states")
@@ -67,6 +73,8 @@ class SingularSystem(PointFailure):
 
 class NoInteriorMinimum(PointFailure):
     """No interior transmission minimum found after maximal window expansion."""
+
+    reason = "no-interior-minimum"
 
 
 class DipTooShallow(PointFailure):

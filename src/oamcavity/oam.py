@@ -12,18 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    ModelNotInvertible,
-    Multistable,
-    NoInteriorMinimum,
-    OutOfRange,
-    PointFailure,
-)
+from .errors import CalibrationError, ConfigError, ModelNotInvertible, OutOfRange, PointFailure
 from .params import SystemParams, Violation, fingerprint
-from .spectrum import find_valley, sweep
-from .steady import operating_points, point_or_raise
+from .spectrum import find_valley, scan, sweep
 
 CALIBRATION_FORMAT = "oamcavity-calibration-v1"
 MAX_FAILURE_FRACTION = 0.10
@@ -45,12 +36,6 @@ class CalibrationCurve:
     lin_fit: tuple[float, float, float] | None  # (slope, intercept, r_squared)
     failures: tuple[tuple[int, str], ...] = ()
 
-    def x_star_of(self, charge: int) -> float:
-        for e in self.entries:
-            if e.charge == charge:
-                return e.x_star
-        raise KeyError(charge)
-
 
 @dataclass(frozen=True)
 class OamEstimate:
@@ -59,17 +44,11 @@ class OamEstimate:
     ambiguous_with: tuple[int, ...]
 
 
-def _entry_for_charge(charge, point) -> CalibrationEntry | str:
-    """The calibration entry of one charge from its operating point (or failure), or the reason it failed."""
-    try:
-        valley = find_valley(*point_or_raise(point))
-    except Multistable:
-        return "multistable"
-    except NoInteriorMinimum:
-        return "no-interior-minimum"
-    except PointFailure as err:
-        return type(err).__name__
-    return CalibrationEntry(charge=charge, x_star=valley.x_star, fwhm=valley.fwhm)
+def _charges(l_min: int, l_max: int) -> range:
+    """The charges l_min..l_max; ConfigError when l_min > l_max."""
+    if l_min > l_max:
+        raise ConfigError([Violation("l_min, l_max", f"need l_min <= l_max, got [{l_min}, {l_max}]")])
+    return range(l_min, l_max + 1)
 
 
 def build_calibration(
@@ -80,26 +59,22 @@ def build_calibration(
 ) -> CalibrationCurve:
     """Valley position per integer charge in [l_min, l_max], plus a linear fit.
 
-    Per-charge failures are recorded and excluded; more than 10% failures
-    aborts with CalibrationError, and l_min > l_max is a ConfigError.  The
-    charges' steady states are solved together, then their valleys in turn;
-    `jobs` is accepted and ignored.
+    The valleys come from one `scan`; a charge whose point fails is
+    recorded under the failure's reason and excluded.  More than 10%
+    failures aborts with CalibrationError, and l_min > l_max is a
+    ConfigError.  `jobs` is accepted and ignored.
     """
     if not (isinstance(l_min, int) and isinstance(l_max, int)):
         raise ValueError("charge bounds must be integers")
-    if l_min > l_max:
-        raise ConfigError([Violation("l_min, l_max", f"need l_min <= l_max, got [{l_min}, {l_max}]")])
-
-    charges = list(range(l_min, l_max + 1))
+    charges = _charges(l_min, l_max)
     entries = []
     failures = []
-    points = operating_points([replace(params_template.config, charge_l1=charge) for charge in charges])
-    for charge, point in zip(charges, points):
-        entry = _entry_for_charge(charge, point)
-        if isinstance(entry, str):
-            failures.append((charge, entry))
+    valleys = scan([replace(params_template.config, charge_l1=charge) for charge in charges], find_valley)
+    for charge, valley in zip(charges, valleys):
+        if isinstance(valley, PointFailure):
+            failures.append((charge, valley.reason))
         else:
-            entries.append(entry)
+            entries.append(CalibrationEntry(charge=charge, x_star=valley.x_star, fwhm=valley.fwhm))
     if len(failures) > MAX_FAILURE_FRACTION * len(charges):
         raise CalibrationError(
             f"{len(failures)}/{len(charges)} charges failed "
@@ -142,9 +117,7 @@ def detuning_curve(params_template: SystemParams, l_min: int, l_max: int):
     `sweep` of the detuning over charge-l1, with None for an invalid row;
     ConfigError for l_min > l_max.
     """
-    if l_min > l_max:
-        raise ConfigError([Violation("l_min, l_max", f"need l_min <= l_max, got [{l_min}, {l_max}]")])
-    _, rows = sweep(params_template.config, "charge-l1", "detuning", range(l_min, l_max + 1))
+    _, rows = sweep(params_template.config, "charge-l1", "detuning", _charges(l_min, l_max))
     return [(charge, value if valid else None) for charge, value, valid in rows]
 
 

@@ -232,18 +232,23 @@ def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarra
 
     and c1+ = (eps_p - i*g1*c1s*phi+)/a1.  O(1) arithmetic per detuning.
 
-    Raises SingularSystem naming the first detuning where
-    |den| <= DET_THRESHOLD*(|mech| + |s1| + |s2|).
+    Raises SingularSystem when Delta_i^2 or g_i*N_i*Delta_i overflows, or
+    naming the first detuning where |den| > DET_THRESHOLD*(|mech| + |s1| +
+    |s2|) fails (an overflowing or NaN den included).
     """
     omegas = np.asarray(omegas, dtype=float)
-    iw = 1j * omegas
-    mech = params.omega_phi**2 + iw * (iw - params.gamma_phi)
-    a1, s1, s2 = _optical_terms(params, steady, iw)
-    den = mech + s1 + s2
-
-    bad = np.abs(den) <= DET_THRESHOLD * (np.abs(mech) + np.abs(s1) + np.abs(s2))
-    if bad.any():
-        i = int(np.argmax(bad))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, g, n, d in ((1, params.g1, steady.n1, steady.delta1), (2, params.g2, steady.n2, steady.delta2)):
+            if not (math.isfinite(d * d) and math.isfinite(g * n * d)):
+                raise SingularSystem(f"optical spring of cavity {i} overflows: Delta_{i}^2 = {d * d:.6e}, "
+                                     f"g_{i}*N_{i}*Delta_{i} = {g * n * d:.6e}")
+        iw = 1j * omegas
+        mech = params.omega_phi**2 + iw * (iw - params.gamma_phi)
+        a1, s1, s2 = _optical_terms(params, steady, iw)
+        den = mech + s1 + s2
+        ok = np.abs(den) > DET_THRESHOLD * (np.abs(mech) + np.abs(s1) + np.abs(s2))
+    if not ok.all():
+        i = int(np.argmin(ok))
         raise SingularSystem(
             f"sideband system singular at Omega = {omegas[i]:.6e} rad/s"
         )

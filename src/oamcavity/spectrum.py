@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DipTooShallow, NoInteriorMinimum, PointFailure
-from .params import Detuning2Spec, SystemConfig, SystemParams, Violation, fingerprint
+from .params import Detuning2Spec, SystemConfig, SystemParams, Violation
 from .response import dressed_mode, transmission_at, transmission_many
 from .steady import SteadyState, operating_point, operating_points, point_or_raise
 
@@ -28,23 +28,6 @@ DEPTH_FLOOR = 1e-3
 #: curvature floor in eps*T_min, 4x the +-14 eps*T that rounding alone reaches
 #: on flat stretches of the shipped configs; real dips clear it by nine orders
 CURVATURE_FLOOR_EPS = 64.0
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """A sampled transmission spectrum held as equal-length, read-only float arrays (copied in)."""
-
-    omegas: np.ndarray  # probe-drive detunings Omega [rad/s]
-    xs: np.ndarray
-    transmissions: np.ndarray
-    params_fingerprint: str
-    branch_tag: str
-
-    def __post_init__(self):
-        for name in ("omegas", "xs", "transmissions"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -62,25 +45,14 @@ def sample_spectrum(
     x_lo: float,
     x_hi: float,
     n: int,
-) -> Spectrum:
-    """n uniform transmission samples of T(Omega = omega_phi*(1+x)) on [x_lo, x_hi].
-
-    The spectrum holds the sample grid, its probe detunings and the
-    kernel's transmissions as arrays.
-    """
+) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ts): n uniform samples x on [x_lo, x_hi] and the kernel's T(Omega = omega_phi*(1+x))."""
     if not x_lo < x_hi:
         raise ValueError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
     if n < 3:
         raise ValueError(f"need at least 3 samples, got {n}")
     xs = np.linspace(x_lo, x_hi, n)
-    omegas = params.omega_phi * (1.0 + xs)
-    return Spectrum(
-        omegas=omegas,
-        xs=xs,
-        transmissions=transmission_many(params, steady, omegas),
-        params_fingerprint=fingerprint(params.config),
-        branch_tag=steady.branch_tag,
-    )
+    return xs, transmission_many(params, steady, params.omega_phi * (1.0 + xs))
 
 
 def find_valley(params: SystemParams, steady: SteadyState) -> ValleyReport:
@@ -149,8 +121,8 @@ def find_valley(params: SystemParams, steady: SteadyState) -> ValleyReport:
     return replace(report, fwhm=fwhm)
 
 
-def linewidth(spectrum: Spectrum, valley: ValleyReport) -> float:
-    """Full width at half depth of the valley within a sampled spectrum.
+def linewidth(xs: np.ndarray, ts: np.ndarray, x_star: float, t_min: float) -> float:
+    """Full width at half depth of the valley (x_star, t_min) within the samples (xs, ts).
 
     The baseline is the median transmission of the outer 10% of samples
     (robust to Fano asymmetry); the two crossings of
@@ -160,12 +132,9 @@ def linewidth(spectrum: Spectrum, valley: ValleyReport) -> float:
     ------
     DipTooShallow
         when T_min is within DEPTH_FLOOR of the baseline.
+    ValueError
+        when a crossing lies outside the samples.
     """
-    return _half_depth_width(spectrum.xs, spectrum.transmissions, valley.x_star, valley.t_min)
-
-
-def _half_depth_width(xs: np.ndarray, ts: np.ndarray, x_star: float, t_min: float) -> float:
-    """`linewidth` on bare sample arrays (same baseline, crossings and errors)."""
     n = len(xs)
     k = max(1, int(round(0.05 * n)))
     baseline = float(np.median(np.concatenate([ts[:k], ts[-k:]])))
@@ -206,7 +175,7 @@ def _measure_fwhm(params: SystemParams, steady: SteadyState, valley: ValleyRepor
     xs = np.linspace(valley.x_star - reach, valley.x_star + reach, FWHM_POINTS)
     ts = transmission_many(params, steady, params.omega_phi * (1.0 + xs))
     try:
-        return _half_depth_width(xs, ts, valley.x_star, valley.t_min)
+        return linewidth(xs, ts, valley.x_star, valley.t_min)
     except ValueError as err:
         raise DipTooShallow(f"{err} (x* +- {reach:.3e})") from err
 
@@ -257,21 +226,31 @@ def sweep_values(axis: str, start: float, stop: float, n: int) -> list:
     return [int(round(x)) for x in xs] if axis == "charge-l1" else xs
 
 
+def scan(configs, measure) -> list:
+    """measure(params, steady) at each config's operating point, or the PointFailure raised in its place.
+
+    All configs are solved together (`operating_points`), then measured in turn.
+    """
+    results = []
+    for point in operating_points(configs):
+        try:
+            results.append(measure(*point_or_raise(point)))
+        except PointFailure as err:
+            results.append(err)
+    return results
+
+
 def sweep(config: SystemConfig, axis: str, observable: str, values) -> tuple[list[str], list[tuple]]:
     """The CSV header and a (value, observable, valid) row per value of `axis`.
 
-    All values' configs are solved together (`operating_points`), then the
-    observable is read at each operating point.  A PointFailure gives the
-    row (value, nan, False) and the scan goes on.  A shift-distance scan
+    The observable is read at each value's operating point through `scan`;
+    a PointFailure gives the row (value, nan, False).  A shift-distance scan
     over detuning2 carries Delta_2/omega_phi instead of Delta_2.
     """
     at, (column, measure) = SWEEP_AXES[axis], SWEEP_OBSERVABLES[observable]
-    rows = []
-    for value, point in zip(values, operating_points([at(config, value) for value in values])):
-        try:
-            rows.append((value, measure(*point_or_raise(point)), True))
-        except PointFailure:
-            rows.append((value, math.nan, False))
+    results = scan([at(config, value) for value in values], measure)
+    rows = [(value, math.nan, False) if isinstance(result, PointFailure) else (value, result, True)
+            for value, result in zip(values, results)]
     if (axis, observable) == ("detuning2", "shift-distance"):
         omega = config.rotation_frequency
         return ["d2_over_omega", column, "valid"], [(v / omega, d, ok) for v, d, ok in rows]

@@ -97,11 +97,11 @@ def test_spectrum_csv_round_trips_sample_spectrum(tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["spectrum", "--config", cfg, "-n", "4001", "--out", str(out)]) == 0
     params = derive_params(load_config(cfg))
-    spec = sample_spectrum(params, solve_steady(params).selected, *DEFAULT_WINDOW, 4001)
+    xs, ts = sample_spectrum(params, solve_steady(params).selected, *DEFAULT_WINDOW, 4001)
     lines = out.read_text().splitlines()
     assert lines[0] == "x,T"
     rows = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
-    assert rows == list(zip(spec.xs.tolist(), spec.transmissions.tolist()))
+    assert rows == list(zip(xs.tolist(), ts.tolist()))
 
 
 def _row_by_row_csv(header, rows) -> str:
@@ -274,12 +274,15 @@ def test_calibrate_bounds_exit_2(tmp_path, config_path, capsys):
 
 
 def test_calibrate_multistable_exit_4(tmp_path, capsys):
-    code = main(["calibrate", "--config", BISTABLE_DEMO, "--l-min", "50", "--l-max", "50",
-                 "--out", str(tmp_path / "c.json"), "--jobs", "1"])
-    assert code == 4
-    err = capsys.readouterr().err
-    assert err.startswith("CalibrationError: ")
-    assert "(50, 'multistable')" in err
+    """Each failed charge is reported under its reason."""
+    for l_min, l_max, failures in [
+        (50, 50, "1/1 charges failed (first failures: [(50, 'multistable')])"),
+        (37, 38, "2/2 charges failed (first failures: [(37, 'no-interior-minimum'), (38, 'multistable')])"),
+    ]:
+        code = main(["calibrate", "--config", BISTABLE_DEMO, "--l-min", str(l_min), "--l-max", str(l_max),
+                     "--out", str(tmp_path / "c.json"), "--jobs", "1"])
+        assert code == 4
+        assert capsys.readouterr().err == f"CalibrationError: {failures}\n"
 
 
 def test_calibrate_single_entry_warns(tmp_path, config_path, capsys):
@@ -610,11 +613,18 @@ def test_spectrum_without_real_steady_root_exit_4(tmp_path, capsys):
     ("mirror_radius_m", 1e300, 2, "ConfigError: mirror_mass_kg, mirror_radius_m, rotation_frequency_rad_s: "
                                   "gives I*omega_phi^2 = inf"),
     ("rotation_frequency_rad_s", 1e160, 2, "ConfigError: rotation_frequency_rad_s: gives omega_phi^2 = inf"),
+    ("drive2_power_w", 1e160, 4, "SingularSystem: optical spring of cavity 1 overflows: Delta_1^2 = inf"),
+    ("drive1_wavelength_m", 1e160, 4, "SingularSystem: optical spring of cavity 1 overflows: Delta_1^2 = inf"),
+    ("drive2_wavelength_m", 1e160, 4, "SingularSystem: optical spring of cavity 1 overflows: Delta_1^2 = inf"),
+    ("finesse_2", 1e160, 4, "SingularSystem: optical spring of cavity 1 overflows: Delta_1^2 = inf"),
+    ("mirror_mass_kg", 1e-160, 4, "SingularSystem: optical spring of cavity 1 overflows: Delta_1^2 = inf"),
+    ("quality_factor", 1e-300, 4, "SingularSystem: sideband system singular at Omega = "),
 ])
 def test_extreme_config_value_exits_with_documented_code(tmp_path, capsys, key, value, code, err):
     """Valid single-key extremes of `oracle_check.json` used to end in a traceback and exit 1
-    (LinAlgError, ZeroDivisionError, OverflowError); a derived quantity out of range exits 2
-    naming its keys, and an overflowing steady-state polynomial exits 4."""
+    (LinAlgError, ZeroDivisionError, OverflowError) or in a bare-cavity spectrum behind a
+    RuntimeWarning; a derived quantity out of range exits 2 naming its keys, and an overflowing
+    steady-state polynomial or optical-spring term exits 4."""
     doc = json.loads((CONFIGS / "oracle_check.json").read_text())
     doc[key] = value
     cfg = tmp_path / "c.json"

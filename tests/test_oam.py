@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +13,12 @@ from oamcavity import (
     detuning_curve,
     estimate_oam,
     load_calibration,
+    load_config,
     save_calibration,
 )
 from oamcavity.oam import CalibrationCurve, CalibrationEntry, check_fingerprint
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def synthetic_curve(slope=0.01, fwhm=0.002, l_lo=-5, l_hi=5, fingerprint="synthetic"):
@@ -31,9 +35,9 @@ def synthetic_curve(slope=0.01, fwhm=0.002, l_lo=-5, l_hi=5, fingerprint="synthe
 
 def test_estimate_round_trip_on_entries():
     curve = synthetic_curve(fwhm=0.002)
-    for l in range(-5, 6):
-        est = estimate_oam(curve, curve.x_star_of(l))
-        assert est.l_hat == l
+    for entry in curve.entries:
+        est = estimate_oam(curve, entry.x_star)
+        assert est.l_hat == entry.charge
         assert est.x_residual == 0.0
         assert est.ambiguous_with == ()
 
@@ -115,6 +119,14 @@ def test_build_validates_bounds():
         build_calibration(tmpl, 5, 4)
     with pytest.raises(ValueError):
         build_calibration(tmpl, 0.5, 4)
+
+
+def test_calibration_records_the_flat_charge_by_its_reason():
+    """On calibration_highres.json only l1 = 0 fails: its spectrum is flat, so it has no valley."""
+    tmpl = derive_params(load_config(str(CONFIGS / "calibration_highres.json")))
+    curve = build_calibration(tmpl, -10, 10)
+    assert len(curve.entries) == 20
+    assert curve.failures == ((0, "no-interior-minimum"),)
 
 
 def test_dark_drive2_calibration_is_even_in_charge():

@@ -150,8 +150,9 @@ def test_singular_system_guard(weak_dark):
     )
     with pytest.raises(SingularSystem):
         sideband_response(p0, st, p.omega_phi)
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularSystem) as exc:
         c1_plus_many(p0, st, np.array([p.omega_phi]))
+    assert exc.value.reason == "SingularSystem"
 
 
 def test_rejects_non_finite_detuning(weak_dark):

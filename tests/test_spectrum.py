@@ -28,15 +28,13 @@ from oamcavity.response import (
     transmission_at,
     transmission_many,
 )
-from oamcavity.spectrum import Spectrum, ValleyReport, sweep, sweep_values
+from oamcavity.spectrum import sweep, sweep_values
 from oamcavity.steady import operating_point
 
 
 def synthetic_lorentzian_spectrum(kappa_t, x0, depth, x_lo, x_hi, n):
     xs = np.linspace(x_lo, x_hi, n)
-    ts = 1.0 - depth * kappa_t**2 / (kappa_t**2 + (xs - x0) ** 2)
-    return Spectrum(omegas=xs, xs=xs, transmissions=ts, params_fingerprint="synthetic",
-                    branch_tag="selected")
+    return xs, 1.0 - depth * kappa_t**2 / (kappa_t**2 + (xs - x0) ** 2)
 
 
 def test_sample_spectrum_validation(weak_dark):
@@ -48,27 +46,20 @@ def test_sample_spectrum_validation(weak_dark):
 
 
 def test_sample_spectrum_points_match_per_sample_build(weak_dark):
-    """The arrays equal the grid, its detunings and the kernel output, bit for bit."""
+    """The arrays equal the grid and the kernel output at its detunings, bit for bit."""
     p, st = weak_dark
     xs = np.linspace(-0.01, 0.01, 257)
-    omegas = p.omega_phi * (1.0 + xs)
-    ts = transmission_many(p, st, omegas)
+    ts = transmission_many(p, st, p.omega_phi * (1.0 + xs))
     got = sample_spectrum(p, st, -0.01, 0.01, 257)
-    for name, want in (("omegas", omegas), ("xs", xs), ("transmissions", ts)):
-        assert [v.hex() for v in getattr(got, name).tolist()] == [v.hex() for v in want.tolist()], name
-    from_arrays = Spectrum(omegas=omegas, xs=xs, transmissions=ts,
-                           params_fingerprint="synthetic", branch_tag="selected")
-    xs[0] = 1.0  # the spectrum holds its own read-only copy
-    assert from_arrays.xs[0] == -0.01
-    with pytest.raises(ValueError):
-        from_arrays.transmissions[0] = 0.0
+    for name, have, want in (("xs", got[0], xs), ("ts", got[1], ts)):
+        assert [v.hex() for v in have.tolist()] == [v.hex() for v in want.tolist()], name
 
 
 def test_flat_spectrum_when_decoupled(decoupled):
     p, st = decoupled
-    spec = sample_spectrum(p, st, -0.2, 0.2, 3)
-    assert len(spec.transmissions) == 3
-    for t in spec.transmissions:
+    _, ts = sample_spectrum(p, st, -0.2, 0.2, 3)
+    assert len(ts) == 3
+    for t in ts:
         assert t == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(NoInteriorMinimum):
         find_valley(p, st)
@@ -76,29 +67,22 @@ def test_flat_spectrum_when_decoupled(decoupled):
 
 def test_spectrum_x_strictly_increasing(weak_dark):
     p, st = weak_dark
-    spec = sample_spectrum(p, st, -0.01, 0.01, 64)
-    xs = spec.xs
+    xs, _ = sample_spectrum(p, st, -0.01, 0.01, 64)
     assert np.all(np.diff(xs) > 0)
-    assert spec.branch_tag == "selected"
-    assert len(spec.params_fingerprint) == 64
 
 
 def test_synthetic_lorentzian_linewidth():
     kappa_t = 1.3e-3
     x0 = 0.004
-    spec = synthetic_lorentzian_spectrum(kappa_t, x0, 0.8, x0 - 16 * kappa_t, x0 + 16 * kappa_t, 4096)
-    valley = ValleyReport(x_star=x0, t_min=0.2, curvature_sign_ok=True, fwhm=None,
-                          window=(x0 - 16 * kappa_t, x0 + 16 * kappa_t))
-    w = linewidth(spec, valley)
+    xs, ts = synthetic_lorentzian_spectrum(kappa_t, x0, 0.8, x0 - 16 * kappa_t, x0 + 16 * kappa_t, 4096)
+    w = linewidth(xs, ts, x0, 0.2)
     assert w == pytest.approx(2 * kappa_t, rel=1e-2)
 
 
 def test_linewidth_rejects_shallow_dip():
-    spec = synthetic_lorentzian_spectrum(1e-3, 0.0, 5e-4, -0.02, 0.02, 2048)
-    valley = ValleyReport(x_star=0.0, t_min=1.0 - 5e-4, curvature_sign_ok=True, fwhm=None,
-                          window=(-0.02, 0.02))
+    xs, ts = synthetic_lorentzian_spectrum(1e-3, 0.0, 5e-4, -0.02, 0.02, 2048)
     with pytest.raises(DipTooShallow):
-        linewidth(spec, valley)
+        linewidth(xs, ts, 0.0, 1.0 - 5e-4)
 
 
 def _walked_linewidth(xs, ts, x_star, t_min):
@@ -131,17 +115,13 @@ def test_linewidth_crossings_match_walked_reference():
              (one_sided, 0.0, 0.0)]
     cases += [(r, 0.0, r.min()) for r in 1.0 - np.abs(rng.standard_normal((20, len(xs))))]
     for ts, x_star, t_min in cases:
-        spec = Spectrum(omegas=xs, xs=xs, transmissions=ts, params_fingerprint="synthetic",
-                        branch_tag="selected")
-        valley = ValleyReport(x_star=x_star, t_min=float(t_min), curvature_sign_ok=True, fwhm=None,
-                              window=(-1.0, 1.0))
         try:
             want = _walked_linewidth(xs, ts, x_star, float(t_min))
         except ValueError:
             with pytest.raises(ValueError):
-                linewidth(spec, valley)
+                linewidth(xs, ts, x_star, float(t_min))
             continue
-        assert linewidth(spec, valley) == want
+        assert linewidth(xs, ts, x_star, float(t_min)) == want
 
 
 def test_weak_drive_valley_placement_and_depth(weak_dark):
@@ -319,7 +299,7 @@ def test_valley_sits_on_the_dressed_pole_on_shipped_configs():
         assert width / v.fwhm == pytest.approx(1.0043, abs=1e-4), path.name
         xs = np.linspace(v.x_star - 8.0 * v.fwhm, v.x_star + 8.0 * v.fwhm, spectrum.FWHM_POINTS)
         ts = np.array([_closed_form_t(p, st, x) for x in xs])
-        assert spectrum._half_depth_width(xs, ts, v.x_star, v.t_min) == pytest.approx(v.fwhm, rel=5e-5), path.name
+        assert linewidth(xs, ts, v.x_star, v.t_min) == pytest.approx(v.fwhm, rel=5e-5), path.name
         checked.append(path.name)
     assert len(checked) >= 4, checked
 
@@ -342,8 +322,9 @@ def test_linewidth_is_one_kernel_call_after_the_curvature_pair(monkeypatch):
 
 def test_unsettled_pole_leaves_no_width(monkeypatch):
     p, st = operating_point(load_config(str(CONFIGS / "oracle_check.json")))
-    with pytest.raises(DipTooShallow, match="not settled after 1 of 64 steps"):
+    with pytest.raises(DipTooShallow, match="not settled after 1 of 64 steps") as exc:
         response.dressed_mode(p, dataclasses.replace(st, delta1=math.nan))
+    assert exc.value.reason == "DipTooShallow"
     monkeypatch.setattr(response, "POLE_STEPS", 1)
     with pytest.raises(DipTooShallow, match="not settled after 1 of 1 steps"):
         response.dressed_mode(p, st)

@@ -183,6 +183,7 @@ def test_no_real_root_raises_no_convergence_without_window():
         solve_steady(derive_params(default_config(finesse2=1e300)))
     assert exc.value.window is None
     assert exc.value.exit_code == 4
+    assert exc.value.reason == "NoConvergence"
 
 
 def test_operating_point_is_derive_plus_selected_root():

@@ -11,15 +11,19 @@ skips (`EXTRA_SWEEPS`: x-star over charge-l1, drive2-power and detuning2,
 shift-distance over detuning2 and over charge-l1 on a bare detuning-2
 config, drive-2 sweeps with invalid rows, and a detuning-2 sweep whose
 steady-state polynomial overflows on every row but the first, so that one
-batched solve holds valid and failed rows) and the invocations that must
-fail (`FAILURE_RUNS`), runs every invocation once through
+batched solve holds valid and failed rows), the calibrations it skips
+(`EXTRA_CALIBRATIONS`: one whose l1 = 0 charge fails) and the invocations
+that must fail (`FAILURE_RUNS`), runs every invocation once through
 ``oamcavity.cli.main`` from ``<repo-root>/src`` in this process, and prints
 one line per data file (``<invocation> <file> <sha256>``), one per
 invocation with its exit code (``exit <code>``, or ``exception <Type>``
 for an exception that escapes ``main``) and the sha256 of its stderr, and
 one for the `validate` stdout.  The bench is imported, never modified;
-inputs and outputs go to a temporary directory.  The extra sweeps and the
-failure runs take the shipped configs and do not depend on the seed.
+inputs and outputs go to a temporary directory.  The extra sweeps,
+calibrations and failure runs take the shipped configs (or one-key edits of
+`oracle_check.json`, `EDITED_CONFIGS`) and do not depend on the seed.  A
+failure run's output path is digested too, so a run that used to succeed
+shows its file turning ``missing``.
 
 Two checkouts produce byte-identical outputs exactly when
 
@@ -63,21 +67,33 @@ EXTRA_SWEEPS = (
      "resonance-transmission"),
     ("detuning/detuning2-overflow", "shift_distance_base", "detuning2", 0, 4e162, 5, "detuning"),
 )
-#: (name, config, argv); config is a stem under configs/ or "rotation_overflow": oracle_check.json
-#: at rotation_frequency_rad_s = 1e160, whose omega_phi^2 overflows.  "{out}" is an output path.
+#: (name, config, l_min, l_max): calibrate runs; config is a stem under configs/
+EXTRA_CALIBRATIONS = (
+    ("calibrate/highres-10..10", "calibration_highres", -10, 10),
+)
+#: config stem -> (key, value): `oracle_check.json` with that key set
+EDITED_CONFIGS = {
+    "rotation_overflow": ("rotation_frequency_rad_s", 1e160),  # omega_phi^2 overflows
+    "drive2_overflow": ("drive2_power_w", 1e160),  # the optical-spring term overflows
+}
+#: (name, config, argv); config is a stem under configs/ or of `EDITED_CONFIGS`.
+#: "{out}" is an output path.
 FAILURE_RUNS = (
     ("spectrum/multistable", "bistable_demo", ["spectrum", "-n", "11", "--out", "{out}"]),
     ("spectrum/branch-out-of-range", "bistable_demo",
      ["spectrum", "-n", "11", "--branch", "9", "--out", "{out}"]),
     ("calibrate/empty-range", "oracle_check",
      ["calibrate", "--l-min", "5", "--l-max", "4", "--out", "{out}"]),
+    ("calibrate/bistable-37..38", "bistable_demo",
+     ["calibrate", "--l-min", "37", "--l-max", "38", "--out", "{out}"]),
     ("validate/multistable", "bistable_demo", ["validate", "-n", "1"]),
     ("spectrum/rotation-overflow", "rotation_overflow", ["spectrum", "-n", "5", "--out", "{out}"]),
+    ("spectrum/drive2-overflow", "drive2_overflow", ["spectrum", "-n", "5", "--out", "{out}"]),
 )
 
 
-def extra_sweeps(workloads, root: Path, workdir: Path) -> list:
-    """One `workloads.Op` per `EXTRA_SWEEPS` row, its config written under `workdir`."""
+def extra_runs(workloads, root: Path, workdir: Path) -> list:
+    """One `workloads.Op` per `EXTRA_SWEEPS` and `EXTRA_CALIBRATIONS` row, configs written under `workdir`."""
     bare = json.loads((root / "configs" / "shift_distance_base.json").read_text(encoding="utf-8"))
     del bare["detuning2_effective_rad_s"]
     bare.update(detuning2_bare_rad_s=0.5 * OMEGA_PHI, drive2_power_w=0.01, charge_l1=5)
@@ -90,22 +106,27 @@ def extra_sweeps(workloads, root: Path, workdir: Path) -> list:
         argv = ["sweep", "--config", str(config), "--axis", axis, f"--start={start!r}",
                 f"--stop={stop!r}", "-n", str(n), "--observable", observable, "--out", str(out)]
         ops.append(workloads.Op(f"sweep/{name}", argv, [str(out)]))
+    for name, stem, l_min, l_max in EXTRA_CALIBRATIONS:
+        out = workdir / (name.replace("/", "_") + ".json")
+        argv = ["calibrate", "--config", str(root / "configs" / f"{stem}.json"), f"--l-min={l_min}",
+                f"--l-max={l_max}", "--out", str(out)]
+        ops.append(workloads.Op(name, argv, [str(out), f"{out}.csv"]))
     return ops
 
 
 def failure_runs(workloads, root: Path, workdir: Path) -> list:
-    """One `workloads.Op` per `FAILURE_RUNS` row, with no data file to digest."""
-    overflow = json.loads((root / "configs" / "oracle_check.json").read_text(encoding="utf-8"))
-    overflow["rotation_frequency_rad_s"] = 1e160
+    """One `workloads.Op` per `FAILURE_RUNS` row; its output path, if any, is its data file."""
     workdir.mkdir(parents=True)
-    (workdir / "rotation_overflow.json").write_text(json.dumps(overflow, indent=2, sort_keys=True) + "\n",
-                                                    encoding="utf-8")
+    for stem, (key, value) in EDITED_CONFIGS.items():
+        doc = json.loads((root / "configs" / "oracle_check.json").read_text(encoding="utf-8"))
+        doc[key] = value
+        (workdir / f"{stem}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     ops = []
     for name, stem, (command, *args) in FAILURE_RUNS:
-        config = (workdir if stem == "rotation_overflow" else root / "configs") / f"{stem}.json"
+        config = (workdir if stem in EDITED_CONFIGS else root / "configs") / f"{stem}.json"
         out = str(workdir / (name.replace("/", "_") + ".out"))
         argv = [command, "--config", str(config), *(out if a == "{out}" else a for a in args)]
-        ops.append(workloads.Op(f"fail/{name}", argv, []))
+        ops.append(workloads.Op(f"fail/{name}", argv, [out] if "{out}" in args else []))
     return ops
 
 
@@ -124,7 +145,7 @@ def digests(root: Path, seed: int) -> list[str]:
             wl = workloads.build(name, root, seed, Path(tmp) / name)
             wl.write_inputs()
             runs += [(name, op) for op in wl.ops]
-        runs += [("extra", op) for op in extra_sweeps(workloads, root, Path(tmp) / "extra")]
+        runs += [("extra", op) for op in extra_runs(workloads, root, Path(tmp) / "extra")]
         runs += [("fail", op) for op in failure_runs(workloads, root, Path(tmp) / "fail")]
         for name, op in runs:
             stdout, stderr = io.StringIO(), io.StringIO()
