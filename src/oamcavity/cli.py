@@ -13,8 +13,9 @@ Exit codes (frozen for scripting).  Each error class carries its own as
     2  configuration invalid: ConfigError, a malformed config or
        calibration file, an invalid range or --branch on the command line
        (a spectrum or sweep end that is not finite, a validate -n below 1,
-       a --probe-scale that is not finite and positive, an estimate
-       --x-measured that is not finite)
+       a --probe-scale that is not finite and positive, a validate probe
+       that is zero (drive 1 off) or a probe detuning that is not
+       positive, an estimate --x-measured that is not finite)
     2  a config, calibration or output path that cannot be read or
        written (any OSError: missing, a directory, no permission)
     2  a valid config whose extreme values overflow a derived quantity
@@ -27,6 +28,9 @@ Exit codes (frozen for scripting).  Each error class carries its own as
        PointFailure, ModelNotInvertible, CalibrationError,
        StepSizeUnderflow, WindowTooShort, PoorFit), and a `validate`
        deviation above 1e-3
+    4  a validate periodic orbit that is unstable (a Floquet multiplier
+       of modulus 1 or more) or that Newton shooting does not reach:
+       NoConvergence
     4  a steady-state polynomial whose coefficients overflow (a detuning
        far beyond omega_phi): NoConvergence
     4  an optical-spring term that overflows (Delta_i^2 or g_i*N_i*Delta_i
@@ -61,6 +65,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -82,7 +87,7 @@ from .oam import (
     load_calibration,
     save_calibration,
 )
-from .oracle import default_t_end, sideband_oracle
+from .oracle import sideband_oracle
 from .params import Violation, canonical_dict, derive_params, fingerprint, load_config
 from .response import probe_amplitude, sideband_response
 from .spectrum import (
@@ -311,7 +316,9 @@ def cmd_validate(args) -> int:
     bare = bare_detunings(params, steady)
 
     probe_scale = args.probe_scale * params.eps1 / probe_amplitude(params)
-    t_end = default_t_end(params)
+    if not 0.0 < probe_scale * params.eps_p < np.inf:
+        raise ConfigError([Violation("drive1_power_w, --probe-scale", f"the probe, {args.probe_scale:g} * eps1 = "
+                                     f"{args.probe_scale * params.eps1!r}, must be positive and finite")])
     start = (steady.c1, steady.c2, steady.phi, 0.0)
 
     # dressed-dip width estimate to place the probe detunings
@@ -320,28 +327,35 @@ def cmd_validate(args) -> int:
         / (params.inertia * params.omega_phi * params.kappa1 * params.gamma_phi)
     )
     fwhm_omega = params.gamma_phi * (1.0 + coop)
+    if not fwhm_omega < params.omega_phi:  # the lowest probe sits at omega_phi - fwhm_omega
+        raise ConfigError([Violation("validate probes", f"the dressed-linewidth estimate gamma_phi*(1 + C) = "
+                                     f"{fwhm_omega:.6e} rad/s must lie below omega_phi = {params.omega_phi:.6e} "
+                                     "rad/s, or a probe detuning is not positive")])
     xs = [
         (k / max(args.n_points - 1, 1) - 0.5) * 2.0 * fwhm_omega / params.omega_phi
         for k in range(args.n_points)
     ]
 
-    worst = 0.0
-    print(f"probe amplitude scale: eps_p_eff = {args.probe_scale:g} * eps1, t_end = {t_end:.3e} s")
+    worst = multiplier = 0.0
+    print(f"probe amplitude scale: eps_p_eff = {args.probe_scale:g} * eps1")
     for x in xs:
         omega = params.omega_phi * (1.0 + x)
-        demod = sideband_oracle(params, bare, omega, start, t_end, probe_scale)
+        demod = sideband_oracle(params, bare, omega, start, probe_scale)
+        multiplier = max(multiplier, demod.max_multiplier)
         analytic = sideband_response(params, steady, omega).c1_plus * probe_scale
         rel = abs(demod.c1_plus_est - analytic) / abs(analytic)
         worst = max(worst, rel)
         print(f"  x = {x:+.4e}: |c1+| analytic {abs(analytic):.6e}, "
               f"demodulated {abs(demod.c1_plus_est):.6e}, rel dev {rel:.3e}")
     print(f"max relative deviation: {worst:.6e}")
+    print(f"max Floquet multiplier: {multiplier:.8f}")
     if worst <= 1e-3:
         return 0
     print("linearized response and time-domain oracle disagree beyond 1e-3", file=sys.stderr)
     return OamCavityError.exit_code
 
 
+@functools.cache  # one parser per process: building it costs about 1 ms
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="oamcavity",

@@ -234,7 +234,7 @@ def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarra
 
     Raises SingularSystem when Delta_i^2 or g_i*N_i*Delta_i overflows, or
     naming the first detuning where |den| > DET_THRESHOLD*(|mech| + |s1| +
-    |s2|) fails (an overflowing or NaN den included).
+    |s2|) fails (an overflowing or NaN den included) or a1*den is not finite.
     """
     omegas = np.asarray(omegas, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -246,7 +246,8 @@ def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarra
         mech = params.omega_phi**2 + iw * (iw - params.gamma_phi)
         a1, s1, s2 = _optical_terms(params, steady, iw)
         den = mech + s1 + s2
-        ok = np.abs(den) > DET_THRESHOLD * (np.abs(mech) + np.abs(s1) + np.abs(s2))
+        a1_den = a1 * den  # phi+'s denominator overflows where den need not (quality_factor = 1e-290)
+        ok = (np.abs(den) > DET_THRESHOLD * (np.abs(mech) + np.abs(s1) + np.abs(s2))) & np.isfinite(a1_den)
     if not ok.all():
         i = int(np.argmin(ok))
         raise SingularSystem(
@@ -255,7 +256,7 @@ def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarra
 
     g1, c1s = params.g1, steady.c1
     hg1 = params.hbar * g1 / params.inertia
-    phi_p = -hg1 * c1s.conjugate() * params.eps_p / (a1 * den)
+    phi_p = -hg1 * c1s.conjugate() * params.eps_p / a1_den
     return (params.eps_p - 1j * g1 * c1s * phi_p) / a1
 
 

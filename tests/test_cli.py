@@ -532,10 +532,17 @@ def test_integer_beyond_conversion_limit_in_calibration_exit_2(tmp_path, capsys)
 
 @pytest.mark.parametrize("argv", [["-n", "0"], ["-n", "-3"], ["--probe-scale", "nan"],
                                   ["--probe-scale", "inf"], ["--probe-scale", "0"],
-                                  ["--probe-scale=-1e-3"]])
+                                  ["--probe-scale=-1e-3"], ["-n", "1", "zero-drive-1"]])
 def test_validate_bad_point_count_or_probe_scale_exit_2(tmp_path, capsys, argv):
-    """Refused before the config is read (this one does not exist): nothing compared, no oracle run."""
-    assert main(["validate", "--config", str(tmp_path / "absent.json"), *argv]) == 2
+    """Refused before the config is read (this one does not exist): nothing compared, no oracle run.
+    A zero drive 1 makes the probe, a fraction of eps1, zero: refused before any integration (it
+    used to integrate, then end in ZeroDivisionError)."""
+    config = tmp_path / "absent.json"
+    if argv[-1] == "zero-drive-1":
+        argv = argv[:-1]
+        config.write_text(json.dumps(dict(json.loads((CONFIGS / "oracle_check.json").read_text()),
+                                          drive1_power_w=0)))
+    assert main(["validate", "--config", str(config), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--probe-scale" in captured.err
@@ -619,6 +626,8 @@ def test_spectrum_without_real_steady_root_exit_4(tmp_path, capsys):
     ("finesse_2", 1e160, 4, "SingularSystem: optical spring of cavity 1 overflows: Delta_1^2 = inf"),
     ("mirror_mass_kg", 1e-160, 4, "SingularSystem: optical spring of cavity 1 overflows: Delta_1^2 = inf"),
     ("quality_factor", 1e-300, 4, "SingularSystem: sideband system singular at Omega = "),
+    ("quality_factor", 1e-290, 4, "SingularSystem: sideband system singular at Omega = "),
+    ("quality_factor", 1e-285, 4, "SingularSystem: sideband system singular at Omega = "),
 ])
 def test_extreme_config_value_exits_with_documented_code(tmp_path, capsys, key, value, code, err):
     """Valid single-key extremes of `oracle_check.json` used to end in a traceback and exit 1
@@ -649,6 +658,7 @@ CONTRACT_ARGV = {
     "calibrate": ["calibrate", "--config", "{config}", "--l-min", "1", "--l-max", "3",
                   "--out", "{out}/c.json"],
     "estimate": ["estimate", "--config", "{config}", "--calibration", "{out}/cal.json"],
+    "validate": ["validate", "--config", "{config}", "-n", "1"],
 }
 CONTRACT_EDITS = st.one_of(
     st.tuples(st.just("set"), st.sampled_from(CONTRACT_KEYS), st.sampled_from(CONTRACT_VALUES)),
@@ -680,7 +690,7 @@ def _unmarked_non_finite(path: Path) -> list[float]:
     return [v for v in values if not math.isfinite(v)]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@settings(derandomize=True, database=None, deadline=None, max_examples=1250)
 @given(command=st.sampled_from(list(CONTRACT_ARGV)), edit=CONTRACT_EDITS,
        sweep=st.tuples(st.sampled_from([("drive2-power", "0", "0.2"), ("detuning2", "-3e7", "3e7"),
                                         ("charge-l1", "1", "3")]), st.sampled_from(list(SWEEP_OBSERVABLES))),
@@ -719,12 +729,15 @@ def test_cli_failure_contract(command, edit, sweep, x_measured):
         assert code in {0, 2, 3, 4, 5, 6}, argv
         if code == 0:
             written = [p for p in Path(tmp, "out").iterdir() if p.name != "cal.json"]
-            assert written or command == "estimate"
+            assert written or command in ("estimate", "validate")
             for path in written:
                 assert _unmarked_non_finite(path) == [], (argv, path.name)
             if command == "estimate":
                 assert all(math.isfinite(v) for v in json.loads(stdout.getvalue()).values()
                            if isinstance(v, float)), argv
+            if command == "validate":
+                worst = re.search(r"max relative deviation: (\S+)", stdout.getvalue())
+                assert math.isfinite(float(worst.group(1))), argv
 
 
 @pytest.mark.parametrize("axis, err", [

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from oamcavity import (
+    NoConvergence,
     PoorFit,
     StepSizeUnderflow,
     Trajectory,
@@ -29,7 +30,8 @@ from oamcavity import (
     transmission_oracle,
 )
 from oamcavity import oracle
-from oamcavity.oracle import default_t_end, window_times
+from oamcavity.oracle import window_times
+from oamcavity.response import dressed_mode
 
 
 @pytest.mark.slow
@@ -105,13 +107,6 @@ def test_demodulate_flags_higher_harmonics():
         demodulate(traj.times, traj.c1, om)
 
 
-def test_default_t_end_capped():
-    p = derive_params(default_config())
-    assert default_t_end(p) == pytest.approx(
-        min(20 / p.gamma_phi, 1e7 * 2 * math.pi / p.omega_phi)
-    )
-
-
 @pytest.mark.slow
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_step_size_underflow_on_blowup():
@@ -158,11 +153,10 @@ def test_demodulated_sideband_linear_in_probe(oracle_equivalence):
     p = oracle_equivalence["params"]
     st = oracle_equivalence["steady"]
     bare = oracle_equivalence["bare"]
-    t_end = oracle_equivalence["t_end"]
     omega = p.omega_phi
     ref = next(r for r in oracle_equivalence["sideband"] if r["x"] == 0.0)
     half_scale = 0.5 * oracle_equivalence["probe_scale"]
-    dem = oracle.sideband_oracle(p, bare, omega, (st.c1, st.c2, st.phi, 0.0), t_end, half_scale)
+    dem = oracle.sideband_oracle(p, bare, omega, (st.c1, st.c2, st.phi, 0.0), half_scale)
     ratio = ref["demodulated"] / dem.c1_plus_est
     assert abs(ratio - 2.0) <= 1e-4 * 2.0
 
@@ -183,10 +177,9 @@ def test_strong_probe_breaks_linearization(oracle_equivalence):
     st = oracle_equivalence["steady"]
     bare = oracle_equivalence["bare"]
     omega = p.omega_phi
-    t_end = oracle_equivalence["t_end"]
     strong = 0.3 * p.eps1 / p.eps_p
     try:
-        dem = oracle.sideband_oracle(p, bare, omega, (st.c1, st.c2, st.phi, 0.0), t_end, strong)
+        dem = oracle.sideband_oracle(p, bare, omega, (st.c1, st.c2, st.phi, 0.0), strong)
     except PoorFit:
         return  # documented breakdown
     from oamcavity import sideband_response
@@ -201,32 +194,36 @@ def test_transmission_oracle_decoupled_is_unity():
     # keeps the demodulated sideband clear of the integrator's noise floor
     p = derive_params(default_config(charge_l1=0, charge_l2=0, drive1_power=1e-6,
                                      drive2_power=0.0, probe_power=1e-8))
-    t = transmission_oracle(p, (p.detuning1, 0.0), p.omega_phi * 1.001, t_end=4e-5)
+    t = transmission_oracle(p, (p.detuning1, 0.0), p.omega_phi * 1.001)
     assert t == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.slow
 def test_sideband_oracle_window_rule(monkeypatch):
-    """`sideband_oracle` demodulates the last 21 beat periods before t_end, sampled 32 times
-    a period, bit for bit, and `transmission_oracle` is the output relation applied to its c1+."""
+    """`sideband_oracle` demodulates 21 beat periods T = 2*pi/omega of the periodic orbit, sampled
+    32 times a period from its `orbit_state` at t = 0, bit for bit, and `transmission_oracle` is
+    the output relation applied to its c1+."""
     p = derive_params(default_config(charge_l1=0, charge_l2=0, drive1_power=1e-6,
                                      drive2_power=0.0, probe_power=1e-8))
-    bare, omega, t_end = (p.detuning1, 0.0), p.omega_phi * 1.001, 4e-5
-    times = window_times(omega, t_end)
-    assert len(times) == 21 * 32 and times[-1] == t_end
-    np.testing.assert_allclose(np.diff(times), 2 * math.pi / omega / 32, rtol=1e-6)
-    traj = integrate_mean_field(p, bare, None, times, omega)
-    want = demodulate(traj.times, traj.c1, omega)
+    bare, omega = (p.detuning1, 0.0), p.omega_phi * 1.001
+    period = 2 * math.pi / omega
     got = []
     measure = oracle.sideband_oracle
 
-    def recorded(*args, **kwargs):  # one integration serves both checks
+    def recorded(*args, **kwargs):  # one measurement serves both checks
         got.append(measure(*args, **kwargs))
         return got[-1]
 
     monkeypatch.setattr(oracle, "sideband_oracle", recorded)
-    t = transmission_oracle(p, bare, omega, t_end=t_end)
-    assert got == [want]
+    t = transmission_oracle(p, bare, omega)
+    assert len(got) == 1
+    times = window_times(omega, 21 * period)
+    assert len(times) == 21 * 32 and times[-1] == 21 * period
+    np.testing.assert_allclose(np.diff(times), period / 32, rtol=1e-6)
+    traj = integrate_mean_field(p, bare, got[0].orbit_state, times, omega)
+    want = demodulate(traj.times, traj.c1, omega)
+    assert got == [dataclasses.replace(want, orbit_state=got[0].orbit_state,
+                                       max_multiplier=got[0].max_multiplier)]
     assert t == transmission(p, want.c1_plus_est)
 
 
@@ -235,8 +232,7 @@ def test_transmission_oracle_matches_analytic_strong_drive():
     p = derive_params(default_config(drive1_power=0.1, drive2_power=0.0,
                                      quality_factor=2e3, probe_power=4e-10))
     st = solve_steady(p).selected
-    t_o = transmission_oracle(p, bare_detunings(p, st), p.omega_phi,
-                              t_end=20.0 / p.gamma_phi)
+    t_o = transmission_oracle(p, bare_detunings(p, st), p.omega_phi)
     t_a = transmission_at(p, st, p.omega_phi)
     assert abs(t_o - t_a) <= 1e-3
 
@@ -251,7 +247,6 @@ def test_transmission_oracle_distinguishes_charge_sign():
                                          probe_power=4e-10))
         st = solve_steady(p).selected
         t_o = transmission_oracle(p, bare_detunings(p, st), p.omega_phi,
-                                  t_end=20.0 / p.gamma_phi,
                                   initial_state=(st.c1, st.c2, st.phi, 0.0))
         t_a = transmission_at(p, st, p.omega_phi)
         assert abs(t_o - t_a) <= 1e-3
@@ -318,7 +313,7 @@ def test_rhs_matches_complex_form_equations(monkeypatch):
                      + [abs(start[2]), p.omega_phi * abs(start[2])])
     for _ in range(300):
         y = scale * rng.uniform(-2.0, 2.0, 6)
-        t = rng.uniform(0.0, default_t_end(p))
+        t = rng.uniform(0.0, 20.0 / p.gamma_phi)
         got, want = np.array(rhs(y, t)), want_rhs(y, t)
         c1, c2, phi = abs(complex(y[0], y[1])), abs(complex(y[2], y[3])), abs(y[4])
         terms = np.array([
@@ -331,19 +326,59 @@ def test_rhs_matches_complex_form_equations(monkeypatch):
         assert np.all(np.abs(got - want) <= 1e-14 * bound), (y, t, got, want)
 
 
+def _criterion_7_orbits(oracle_equivalence):
+    """(row, omega, shooting result) at each of the five criterion-7 probe detunings."""
+    p = oracle_equivalence["params"]
+    st = oracle_equivalence["steady"]
+    for row in oracle_equivalence["sideband"]:
+        omega = p.omega_phi * (1.0 + row["x"])
+        yield row, omega, oracle.sideband_oracle(p, oracle_equivalence["bare"], omega,
+                                                 (st.c1, st.c2, st.phi, 0.0),
+                                                 oracle_equivalence["probe_scale"])
+
+
 @pytest.mark.slow
-def test_sideband_oracle_matches_tight_tolerance_run():
-    """At the default tol, c1+ lies within 1e-6 (relative) of an rtol = 1e-13 run, over 10
-    damping times of `_oracle_check_setting()` (the 20 of `validate` measure 2.4e-8 to 5.5e-7
-    on the five criterion-7 detunings)."""
-    p, bare, start, probe_scale = _oracle_check_setting()
-    omega = p.omega_phi * (1.0 + 3e-4)
-    t_end = 10.0 / p.gamma_phi
-    got = oracle.sideband_oracle(p, bare, omega, start, t_end, probe_scale)
-    traj = integrate_mean_field(p, bare, start, window_times(omega, t_end), omega, tol=1e-13,
-                                eps_p_scale=probe_scale)
-    want = demodulate(traj.times, traj.c1, omega)
-    assert abs(got.c1_plus_est - want.c1_plus_est) <= 1e-6 * abs(want.c1_plus_est)
+def test_shooting_matches_twenty_damping_times(oracle_equivalence):
+    """The periodic-orbit c1+ lies within 1e-6 (relative) of the demodulated tail of a run over 20
+    mechanical damping times from the same start, the brute-force rule it replaces."""
+    for row, _, got in _criterion_7_orbits(oracle_equivalence):
+        want = row["demodulated"]
+        assert abs(got.c1_plus_est - want) <= 1e-6 * abs(want), row["x"]
+
+
+@pytest.mark.slow
+def test_shooting_matches_tight_tolerance_shooting(oracle_equivalence):
+    """At the default tol, c1+ lies within 1e-6 (relative) of an rtol = 1e-13 shooting run."""
+    p, bare, scale = (oracle_equivalence[k] for k in ("params", "bare", "probe_scale"))
+    st = oracle_equivalence["steady"]
+    for row, omega, got in _criterion_7_orbits(oracle_equivalence):
+        orbit, _ = oracle.periodic_orbit(p, bare, omega, (st.c1, st.c2, st.phi, 0.0), scale, tol=1e-13)
+        times = window_times(omega, oracle.WINDOW_PERIODS * 2 * math.pi / omega)
+        traj = integrate_mean_field(p, bare, orbit, times, omega, tol=1e-13, eps_p_scale=scale)
+        want = demodulate(traj.times, traj.c1, omega).c1_plus_est
+        assert abs(got.c1_plus_est - want) <= 1e-6 * abs(want), row["x"]
+
+
+@pytest.mark.slow
+def test_max_multiplier_is_the_dressed_mechanical_mode(oracle_equivalence):
+    """The largest Floquet multiplier is the dressed mechanical pole's decay over one beat period,
+    exp(-pi*width*omega_phi/omega), with width = 2|Im Omega_m|/omega_phi from `dressed_mode`."""
+    p = oracle_equivalence["params"]
+    _, width = dressed_mode(p, oracle_equivalence["steady"])
+    for row, omega, got in _criterion_7_orbits(oracle_equivalence):
+        assert got.max_multiplier == pytest.approx(math.exp(-math.pi * width * p.omega_phi / omega),
+                                                   abs=1e-6), row["x"]
+
+
+@pytest.mark.slow
+def test_unstable_orbit_refused():
+    """Root 0 of `bistable_demo.json` is not an attractor: its orbit's largest Floquet multiplier is
+    1.0115, and the oracle refuses it instead of demodulating a state no run settles on."""
+    p = derive_params(load_config(str(Path(__file__).resolve().parents[1] / "configs" / "bistable_demo.json")))
+    st = solve_steady(p).all_roots[0]
+    with pytest.raises(NoConvergence, match=r"periodic orbit unstable: Floquet multiplier \|mu\| = 1\.0115"):
+        oracle.sideband_oracle(p, bare_detunings(p, st), p.omega_phi, (st.c1, st.c2, st.phi, 0.0),
+                               1e-3 * p.eps1 / p.eps_p)
 
 
 @contextlib.contextmanager

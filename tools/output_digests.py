@@ -75,6 +75,9 @@ EXTRA_CALIBRATIONS = (
 EDITED_CONFIGS = {
     "rotation_overflow": ("rotation_frequency_rad_s", 1e160),  # omega_phi^2 overflows
     "drive2_overflow": ("drive2_power_w", 1e160),  # the optical-spring term overflows
+    "quality_underflow": ("quality_factor", 1e-290),  # the kernel's a1*den overflows
+    "drive1_off": ("drive1_power_w", 0),  # validate's probe, a fraction of eps1, is zero
+    "drive1_overflow": ("drive1_power_w", 1e160),  # validate's lowest probe detuning is negative
 }
 #: (name, config, argv); config is a stem under configs/ or of `EDITED_CONFIGS`.
 #: "{out}" is an output path.
@@ -89,6 +92,9 @@ FAILURE_RUNS = (
     ("validate/multistable", "bistable_demo", ["validate", "-n", "1"]),
     ("spectrum/rotation-overflow", "rotation_overflow", ["spectrum", "-n", "5", "--out", "{out}"]),
     ("spectrum/drive2-overflow", "drive2_overflow", ["spectrum", "-n", "5", "--out", "{out}"]),
+    ("spectrum/quality-underflow", "quality_underflow", ["spectrum", "-n", "5", "--out", "{out}"]),
+    ("validate/drive1-off", "drive1_off", ["validate", "-n", "1"]),
+    ("validate/drive1-overflow", "drive1_overflow", ["validate", "-n", "1"]),
 )
 
 
