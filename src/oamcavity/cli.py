@@ -43,9 +43,10 @@ message names every offending config field.  Every command prints a
 Multistable as the coexisting roots, ``{"error": "multistable", "roots":
 [...]}`` JSON.
 A sweep row or calibration charge that raises a PointFailure is recorded
-as invalid and the run goes on (`spectrum.scan`); a calibration records
-the error's ``reason``, the word the ``--valley-out`` and multistable JSON
-carry under "error".  `spectrum` writes `sample_spectrum`'s (xs, ts) as
+as invalid and the run goes on (`spectrum.scan` solves and measures the
+points as one batch, and a failing point leaves the others untouched); a
+calibration records the error's ``reason``, the word the ``--valley-out``
+and multistable JSON carry under "error".  `spectrum` writes `sample_spectrum`'s (xs, ts) as
 x,T; a valley's FWHM is `spectrum.linewidth(xs, ts, x_star, t_min)`.
 
 Config keys and their checks (``params.FIELDS``): strictly positive

@@ -3,7 +3,9 @@
 A calibration curve maps each integer charge l1 to its resonance-valley
 position x*(l1); a measured valley position is inverted to the nearest
 calibrated charge, with any other charges within half a linewidth
-reported as ambiguous.  Curves persist to JSON together with a
+reported as ambiguous.  All charges are solved in one stacked
+steady-state solve and their valleys located in one stacked search
+(`spectrum.find_valleys`).  Curves persist to JSON together with a
 fingerprint of every physical input except l1 itself.
 """
 
@@ -14,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .errors import CalibrationError, ConfigError, ModelNotInvertible, OutOfRange, PointFailure
 from .params import SystemParams, Violation, fingerprint
-from .spectrum import find_valley, scan, sweep
+from .spectrum import find_valleys, scan, sweep
 
 CALIBRATION_FORMAT = "oamcavity-calibration-v1"
 MAX_FAILURE_FRACTION = 0.10
@@ -59,9 +61,9 @@ def build_calibration(
 ) -> CalibrationCurve:
     """Valley position per integer charge in [l_min, l_max], plus a linear fit.
 
-    The valleys come from one `scan`; a charge whose point fails is
-    recorded under the failure's reason and excluded.  More than 10%
-    failures aborts with CalibrationError, and l_min > l_max is a
+    The valleys come from one `scan` of `find_valleys`; a charge whose
+    point fails is recorded under the failure's reason and excluded.  More
+    than 10% failures aborts with CalibrationError, and l_min > l_max is a
     ConfigError.  `jobs` is accepted and ignored.
     """
     if not (isinstance(l_min, int) and isinstance(l_max, int)):
@@ -69,7 +71,7 @@ def build_calibration(
     charges = _charges(l_min, l_max)
     entries = []
     failures = []
-    valleys = scan([replace(params_template.config, charge_l1=charge) for charge in charges], find_valley)
+    valleys = scan([replace(params_template.config, charge_l1=charge) for charge in charges], find_valleys)
     for charge, valley in zip(charges, valleys):
         if isinstance(valley, PointFailure):
             failures.append((charge, valley.reason))

@@ -10,9 +10,14 @@ with the probe drive entering only the c1+ row.  The two mechanical rows
 are conjugate images of one another, so phi_- = conj(phi_+) must emerge
 from the solve; it is returned and checked rather than assumed.
 
-The hot path, `c1_plus_many`, eliminates the system exactly onto phi+
-(O(1) arithmetic per detuning); every T evaluation goes through it, via
-`transmission_many` or `transmission_at`.  The six-amplitude LU
+The hot path eliminates the system exactly onto phi+ (O(1) arithmetic per
+detuning), and it is one stacked kernel: `transmission_rows` evaluates T
+over a (rows, points) grid of operating points and detunings, each row's
+scalars gathered once (`probe_stack`) and the grid evaluated in blocks of
+BLOCK_POINTS.  A failing row comes back as its SingularSystem and leaves
+the other rows alone.  Every T evaluation goes through it;
+`c1_plus_many`, `transmission_many` and `transmission_at` are its one-row
+case and raise the row's failure.  The six-amplitude LU
 `sideband_response` is the reference: `validate` compares the oracle's
 c1+ with it, and the tests compare the kernel with it and check its phi_-.
 The closed-form single-amplitude expression (D1..D4 form) is a third,
@@ -24,6 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +44,8 @@ _log = logging.getLogger(__name__)
 DET_THRESHOLD = 1e-30
 #: T above this is flagged (not raised) as probe gain
 GAIN_FLOOR = 1.0 + 1e-6
+#: detunings evaluated per block of the kernel, rows x columns, so a call's temporaries stay in cache
+BLOCK_POINTS = 4096
 #: fixed-point steps allowed for the dressed pole; the shipped configs need 3 or 4 (40 without a valley)
 POLE_STEPS = 64
 
@@ -188,12 +196,21 @@ def transmission(params: SystemParams, c1_plus):
     The package's only output relation.  Independent of the absolute probe
     scale because c1+ is proportional to eps_p in the linearized regime.
     """
-    ts = np.abs(1.0 - 2.0 * params.kappa1 * c1_plus / probe_amplitude(params)) ** 2
+    ts = _output(2.0 * params.kappa1, probe_amplitude(params), c1_plus)
+    _log_gain(ts)
+    return ts if isinstance(ts, np.ndarray) else float(ts)
+
+
+def _output(two_kappa1, eps_p, c1_plus):
+    """|1 - 2*kappa1*c1+/eps_p|^2, from scalars or from (rows, 1) columns of them."""
+    return np.abs(1.0 - two_kappa1 * c1_plus / eps_p) ** 2
+
+
+def _log_gain(ts) -> None:
     n_gain = int(np.count_nonzero(ts > GAIN_FLOOR))
     if n_gain:
         _log.info("probe gain regime at %d of %d detunings (max T = %.6e)",
-                  n_gain, np.size(ts), float(np.max(ts)))
-    return ts if isinstance(ts, np.ndarray) else float(ts)
+                  n_gain, np.size(ts), float(np.max(ts[ts > GAIN_FLOOR])))
 
 
 def transmission_at(params: SystemParams, steady: SteadyState, omega: float) -> float:
@@ -203,61 +220,183 @@ def transmission_at(params: SystemParams, steady: SteadyState, omega: float) -> 
     return float(transmission_many(params, steady, np.array([omega]))[0])
 
 
-def _optical_terms(params: SystemParams, steady: SteadyState, iw):
-    """(a1, s1, s2) of `c1_plus_many` at i*Omega = iw, a scalar or an array."""
+class _Constants(NamedTuple):
+    """The kernel's scalars at one operating point, or (rows, 1) columns of them."""
+
+    omega_phi_sq: complex
+    gamma_phi: complex
+    a1: complex  # kappa1 + i*Delta1; minus i*Omega, the c1+ row's diagonal
+    b1: complex  # kappa1 - i*Delta1; minus i*Omega, the conjugated c1- row's diagonal
+    a2: complex
+    b2: complex
+    spring1: complex  # -2*hg1*g1*N1*Delta1, the numerator of s1
+    spring2: complex
+    phi_drive: complex  # -hg1*conj(c1s)*eps_p, the numerator of phi+
+    eps_p: complex
+    coupling: complex  # i*g1*c1s
+    two_kappa1: complex
+
+
+def _row_constants(params: SystemParams, steady: SteadyState) -> _Constants:
+    """The kernel's scalars at one operating point, each formed in the operation order the kernel uses."""
     g1, g2 = params.g1, params.g2
     d1, d2 = steady.delta1, steady.delta2
     hg1 = params.hbar * g1 / params.inertia
     hg2 = params.hbar * g2 / params.inertia
-    # scalar coefficients first, so each array term costs one or two ufuncs
-    a1 = params.kappa1 + 1j * d1 - iw
-    b1 = params.kappa1 - 1j * d1 - iw
-    a2 = params.kappa2 + 1j * d2 - iw
-    b2 = params.kappa2 - 1j * d2 - iw
-    s1 = -2.0 * hg1 * g1 * abs(steady.c1) ** 2 * d1 / (a1 * b1)
-    s2 = -2.0 * hg2 * g2 * abs(steady.c2) ** 2 * d2 / (a2 * b2)
-    return a1, s1, s2
+    return _Constants(
+        params.omega_phi**2, params.gamma_phi,
+        params.kappa1 + 1j * d1, params.kappa1 - 1j * d1, params.kappa2 + 1j * d2, params.kappa2 - 1j * d2,
+        -2.0 * hg1 * g1 * abs(steady.c1) ** 2 * d1, -2.0 * hg2 * g2 * abs(steady.c2) ** 2 * d2,
+        -hg1 * steady.c1.conjugate() * params.eps_p, params.eps_p, 1j * g1 * steady.c1, 2.0 * params.kappa1,
+    )
 
 
-def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarray:
-    """c1+ over many probe detunings: the sideband system eliminated onto phi+.
+def _optical_terms(c: _Constants, iw):
+    """(a1, s1, s2) at i*Omega = iw, from `_row_constants` (scalars) or a stack's (rows, 1) columns."""
+    a1 = c.a1 - iw
+    return a1, c.spring1 / (a1 * (c.b1 - iw)), c.spring2 / ((c.a2 - iw) * (c.b2 - iw))
 
-    Each cavity row couples only to its own amplitude and to phi, and the
-    two mechanical rows differ only in their phi column, so with
-    a_i = kappa_i + i(Delta_i - Omega), b_i = kappa_i - i(Delta_i + Omega)
-    the mechanical row closes on phi+ alone:
+
+def _spring_overflow(params: SystemParams, steady: SteadyState) -> SingularSystem | None:
+    """The SingularSystem of a point whose Delta_i^2 or g_i*N_i*Delta_i overflows, else None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, g, n, d in ((1, params.g1, steady.n1, steady.delta1), (2, params.g2, steady.n2, steady.delta2)):
+            if not (math.isfinite(d * d) and math.isfinite(g * n * d)):
+                return SingularSystem(f"optical spring of cavity {i} overflows: Delta_{i}^2 = {d * d:.6e}, "
+                                      f"g_{i}*N_{i}*Delta_{i} = {g * n * d:.6e}")
+    return None
+
+
+@dataclass(frozen=True)
+class ProbeStack:
+    """The sideband kernel's constants for a stack of operating points, gathered once.
+
+    `constants` holds one `_row_constants` column per point (zeros for a
+    point in `failures`, whose optical spring overflows); `omega_phi` is
+    each point's mechanical frequency.
+    """
+
+    points: tuple
+    constants: np.ndarray  # (fields, rows) complex
+    omega_phi: np.ndarray
+    failures: dict
+
+
+def probe_stack(points) -> ProbeStack:
+    """The ProbeStack of the operating points (params, steady)."""
+    points = tuple(points)
+    failures = {r: err for r, err in enumerate(_spring_overflow(*point) for point in points) if err is not None}
+    rows = [(0,) * len(_Constants._fields) if r in failures else _row_constants(*point)
+            for r, point in enumerate(points)]
+    constants = np.array(rows, dtype=complex).reshape(len(points), len(_Constants._fields)).T
+    return ProbeStack(points, constants, np.array([params.omega_phi for params, _ in points]), failures)
+
+
+def transmission_rows(stack: ProbeStack, rows, omegas) -> tuple[np.ndarray, dict]:
+    """T at omegas[k] for the stack's point rows[k]: the kernel over a (rows, points) grid.
+
+    Returns (ts, failures): failures maps a stack row to its SingularSystem
+    (the message `c1_plus_many` raises), and that row of ts is nan.  A
+    point without a probe raises ConfigError (`probe_amplitude`) unless
+    its row fails.
+    """
+    rows = np.asarray(rows, dtype=int)
+    omegas = np.ascontiguousarray(omegas, dtype=float)
+    dark = np.array([not stack.points[r][0].eps_p > 0 for r in rows.tolist()], dtype=bool)
+    if not dark.any():
+        ts, failures = _kernel(stack, rows, omegas, transmit=True)
+    else:  # refused after the kernel's own check, as transmission after c1_plus_many
+        failures = _kernel(stack, rows[dark], omegas[dark], transmit=False)[1]
+        for r in rows[dark].tolist():
+            if r not in failures:
+                probe_amplitude(stack.points[r][0])
+        ts = np.full(omegas.shape, np.nan)
+        ts[~dark], lit = _kernel(stack, rows[~dark], omegas[~dark], transmit=True)
+        failures.update(lit)
+    _log_gain(ts)
+    return ts, failures
+
+
+def _kernel(stack: ProbeStack, rows: np.ndarray, omegas: np.ndarray, transmit: bool):
+    """c1+ (or T when `transmit`) of each row over its omegas, in blocks of about BLOCK_POINTS detunings.
+
+    Each cavity row of the sideband system couples only to its own
+    amplitude and to phi, and the two mechanical rows differ only in
+    their phi column, so with a_i = kappa_i + i(Delta_i - Omega),
+    b_i = kappa_i - i(Delta_i + Omega) the mechanical row closes on phi+
+    alone:
 
         phi+ = -hg1*conj(c1s)*eps_p / (a1*den),  den = mech + s1 + s2,
         s_i  = i*hg_i*g_i*N_i*(1/b_i - 1/a_i) = -2*hg_i*g_i*N_i*Delta_i/(a_i*b_i),
 
     and c1+ = (eps_p - i*g1*c1s*phi+)/a1.  O(1) arithmetic per detuning.
 
-    Raises SingularSystem when Delta_i^2 or g_i*N_i*Delta_i overflows, or
-    naming the first detuning where |den| > DET_THRESHOLD*(|mech| + |s1| +
-    |s2|) fails (an overflowing or NaN den included) or a1*den is not finite.
+    A row fails with its stack failure, or naming its first detuning where
+    |den| > DET_THRESHOLD*(|mech| + |s1| + |s2|) fails (an overflowing or
+    NaN den included) or a1*den is not finite; its output row is nan and
+    the rest of it is not evaluated.
     """
-    omegas = np.asarray(omegas, dtype=float)
+    n_rows, n = omegas.shape
+    out = np.full((n_rows, n), np.nan, dtype=float if transmit else complex)
+    failures = {r: stack.failures[r] for r in rows.tolist() if r in stack.failures}
+    alive = np.array([r not in failures for r in rows.tolist()], dtype=bool)
+    columns = stack.constants[:, rows, None]
+    row_step, col_step = max(1, BLOCK_POINTS // max(n, 1)), max(1, min(n, BLOCK_POINTS))
+    for r0 in range(0, n_rows, row_step):
+        live = alive[r0 : r0 + row_step]
+        block = slice(r0, r0 + row_step) if live.all() else r0 + np.flatnonzero(live)
+        for c0 in range(0, n, col_step):
+            w = omegas[block, c0 : c0 + col_step]
+            c = _Constants(*columns[:, block])
+            a1, a1_den, ok = _denominators(c, w)
+            good = ok.all(axis=1)
+            if not good.all():
+                index = np.arange(n_rows)[block]
+                for k in np.flatnonzero(~good):
+                    failures[int(rows[index[k]])] = SingularSystem(
+                        f"sideband system singular at Omega = {w[k, np.argmin(ok[k])]:.6e} rad/s")
+                    alive[index[k]] = False
+                block, c, a1, a1_den = index[good], _Constants(*columns[:, index[good]]), a1[good], a1_den[good]
+            c1_plus = (c.eps_p - c.coupling * (c.phi_drive / a1_den)) / a1
+            out[block, c0 : c0 + col_step] = _output(c.two_kappa1, c.eps_p, c1_plus) if transmit else c1_plus
+    return out, failures
+
+
+def _denominators(c: _Constants, w):
+    """(a1, a1*den, ok) over one block of detunings w, with the row constants c as (rows, 1) columns.
+
+    ok holds where |den| clears DET_THRESHOLD*(|mech| + |s1| + |s2|) and
+    a1*den is finite.  The other temporaries of the block end here.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, g, n, d in ((1, params.g1, steady.n1, steady.delta1), (2, params.g2, steady.n2, steady.delta2)):
-            if not (math.isfinite(d * d) and math.isfinite(g * n * d)):
-                raise SingularSystem(f"optical spring of cavity {i} overflows: Delta_{i}^2 = {d * d:.6e}, "
-                                     f"g_{i}*N_{i}*Delta_{i} = {g * n * d:.6e}")
-        iw = 1j * omegas
-        mech = params.omega_phi**2 + iw * (iw - params.gamma_phi)
-        a1, s1, s2 = _optical_terms(params, steady, iw)
+        iw = 1j * w
+        mech = c.omega_phi_sq + iw * (iw - c.gamma_phi)
+        a1, s1, s2 = _optical_terms(c, iw)
         den = mech + s1 + s2
         a1_den = a1 * den  # phi+'s denominator overflows where den need not (quality_factor = 1e-290)
         ok = (np.abs(den) > DET_THRESHOLD * (np.abs(mech) + np.abs(s1) + np.abs(s2))) & np.isfinite(a1_den)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise SingularSystem(
-            f"sideband system singular at Omega = {omegas[i]:.6e} rad/s"
-        )
+    return a1, a1_den, ok
 
-    g1, c1s = params.g1, steady.c1
-    hg1 = params.hbar * g1 / params.inertia
-    phi_p = -hg1 * c1s.conjugate() * params.eps_p / a1_den
-    return (params.eps_p - 1j * g1 * c1s * phi_p) / a1
+
+def _one_row(params: SystemParams, steady: SteadyState, omegas, transmit: bool) -> np.ndarray:
+    omegas = np.asarray(omegas, dtype=float)
+    stack = probe_stack([(params, steady)])
+    if transmit:
+        out, failures = transmission_rows(stack, [0], omegas.reshape(1, -1))
+    else:
+        out, failures = _kernel(stack, np.zeros(1, dtype=int), omegas.reshape(1, -1), transmit=False)
+    if failures:
+        raise failures[0]
+    return out.reshape(omegas.shape)
+
+
+def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarray:
+    """c1+ over many probe detunings: the one-row case of the stacked kernel (`_kernel`).
+
+    Raises SingularSystem when Delta_i^2 or g_i*N_i*Delta_i overflows, or
+    naming the first detuning where the kernel's denominator check fails.
+    """
+    return _one_row(params, steady, omegas, transmit=False)
 
 
 def dressed_mode(params: SystemParams, steady: SteadyState) -> tuple[float, float]:
@@ -275,8 +414,9 @@ def dressed_mode(params: SystemParams, steady: SteadyState) -> tuple[float, floa
     """
     omega_phi = params.omega_phi
     omega = complex(omega_phi)
+    constants = _row_constants(params, steady)
     for step in range(1, POLE_STEPS + 1):
-        _, s1, s2 = _optical_terms(params, steady, 1j * omega)
+        _, s1, s2 = _optical_terms(constants, 1j * omega)
         new = complex(np.sqrt(omega_phi**2 - 1j * params.gamma_phi * omega + s1 + s2))
         if not math.isfinite(abs(new)):
             break
@@ -288,5 +428,5 @@ def dressed_mode(params: SystemParams, steady: SteadyState) -> tuple[float, floa
 
 
 def transmission_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarray:
-    """Vectorized T(Omega): the eliminated kernel's c1+ through `transmission`."""
-    return transmission(params, c1_plus_many(params, steady, omegas))
+    """Vectorized T(Omega): the one-row case of `transmission_rows`, raising its failure."""
+    return _one_row(params, steady, omegas, transmit=True)

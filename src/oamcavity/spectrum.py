@@ -4,6 +4,10 @@ The valley is the interior minimum of T(x), x = (Omega - omega_phi)/omega_phi,
 whose discrete curvature clears a rounding floor.  Location uses a coarse grid
 followed by derivative-free bracketed grid rounds; the Fano-like shoulders
 make curvature-based methods ill-conditioned, so no derivatives are trusted.
+`find_valleys` locates the valleys of a batch of operating points together,
+each stage of the search one stacked kernel call over the rows still in it,
+and `find_valley` is its one-row case.  Sweeps and calibrations measure all
+their operating points as one batch (`scan`).
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, DipTooShallow, NoInteriorMinimum, PointFailure
 from .params import Detuning2Spec, SystemConfig, SystemParams, Violation
-from .response import dressed_mode, transmission_at, transmission_many
-from .steady import SteadyState, operating_point, operating_points, point_or_raise
+from .response import ProbeStack, dressed_mode, probe_stack, transmission_many, transmission_rows
+from .steady import SteadyState, operating_points, point_or_raise
 
 DEFAULT_WINDOW = (-0.2, 0.2)
 MAX_ABS_X = 2.0
@@ -58,11 +62,12 @@ def sample_spectrum(
 def find_valley(params: SystemParams, steady: SteadyState) -> ValleyReport:
     """Locate the resonance valley: dT/dx = 0 with d2T/dx2 > 0.
 
-    Coarse grid (COARSE_POINTS over DEFAULT_WINDOW), then grid rounds of one
-    kernel call each that shrink the bracket to the argmin's neighbours until
-    it is 1e-9 wide in x.  If the coarse minimum lands on a window boundary
-    the window is doubled, up to |x| <= 2, before giving up.  The second
-    difference at +-1e-8 must clear CURVATURE_FLOOR_EPS*eps*T_min.
+    The one-row case of `find_valleys`.  Coarse grid (COARSE_POINTS over
+    DEFAULT_WINDOW), then grid rounds of one kernel call each that shrink
+    the bracket to the argmin's neighbours until it is 1e-9 wide in x.  If
+    the coarse minimum lands on a window boundary the window is doubled,
+    up to |x| <= 2, before giving up.  The second difference at +-1e-8
+    must clear CURVATURE_FLOOR_EPS*eps*T_min.
 
     Raises
     ------
@@ -70,55 +75,86 @@ def find_valley(params: SystemParams, steady: SteadyState) -> ValleyReport:
         flat or boundary-running spectra after maximal expansion, or a
         minimum whose curvature is at rounding level.
     """
-    x_lo, x_hi = DEFAULT_WINDOW
-    while True:
-        xs = np.linspace(x_lo, x_hi, COARSE_POINTS)
-        ts = transmission_many(params, steady, params.omega_phi * (1.0 + xs))
-        i = int(np.argmin(ts))
-        flat = float(ts.max() - ts.min()) <= 1e-13 * max(1.0, float(np.abs(ts).max()))
-        if not flat and 0 < i < COARSE_POINTS - 1:
-            break
-        if x_lo <= -MAX_ABS_X and x_hi >= MAX_ABS_X:
-            raise NoInteriorMinimum(
-                f"no interior transmission minimum on [{x_lo}, {x_hi}] "
-                f"(T range [{ts.min():.6e}, {ts.max():.6e}])"
+    return point_or_raise(find_valleys([(params, steady)])[0])
+
+
+def _measure(stack: ProbeStack, rows: np.ndarray, xs: np.ndarray):
+    """(rows, xs, ts, failures): T at x = xs[k] for the stack's point rows[k] in one kernel call,
+    the rows whose call fails dropped and mapped in failures to their SingularSystem."""
+    ts, failures = transmission_rows(stack, rows, np.multiply(stack.omega_phi[rows, None], 1.0 + xs, order="C"))
+    if not failures:
+        return rows, xs, ts, failures
+    keep = np.array([r not in failures for r in rows.tolist()], dtype=bool)
+    return rows[keep], xs[keep], ts[keep], failures
+
+
+def find_valleys(points) -> list:
+    """`find_valley` at each operating point (params, steady): its ValleyReport or the PointFailure it raises.
+
+    All rows are searched together, each stage one kernel call over the
+    rows still in it: the coarse grid, a re-grid of only the rows whose
+    window doubles, refinement rounds over only the brackets still wider
+    than X_TOL, the curvature pair, and the linewidth windows.  Row for row
+    the arithmetic is that of a search on its own.  A point without a
+    probe raises ConfigError.
+    """
+    stack = probe_stack(points)
+    n = len(stack.points)
+    results: dict = {}
+    lo, hi = np.full(n, float(DEFAULT_WINDOW[0])), np.full(n, float(DEFAULT_WINDOW[1]))
+    a, b, median, x_star, t_min = (np.empty(n) for _ in range(5))
+
+    rows, bracketed = np.arange(n), []
+    while rows.size:  # coarse grids, a row's window doubled while its minimum is flat or on an edge
+        rows, xs, ts, failures = _measure(stack, rows, np.linspace(lo[rows], hi[rows], COARSE_POINTS, axis=1))
+        results.update(failures)
+        i = np.argmin(ts, axis=1)
+        flat = ts.max(axis=1) - ts.min(axis=1) <= 1e-13 * np.maximum(1.0, np.abs(ts).max(axis=1))
+        inner = ~flat & (0 < i) & (i < COARSE_POINTS - 1)
+        k = np.flatnonzero(inner)
+        a[rows[k]], b[rows[k]], median[rows[k]] = xs[k, i[k] - 1], xs[k, i[k] + 1], np.median(ts[k], axis=1)
+        bracketed += rows[k].tolist()
+        widest = ~inner & (lo[rows] <= -MAX_ABS_X) & (hi[rows] >= MAX_ABS_X)
+        for k in np.flatnonzero(widest).tolist():
+            results[int(rows[k])] = NoInteriorMinimum(
+                f"no interior transmission minimum on [{float(lo[rows[k]])}, {float(hi[rows[k]])}] "
+                f"(T range [{ts[k].min():.6e}, {ts[k].max():.6e}])"
             )
-        half = x_hi - x_lo  # doubling the window width
-        x_lo = max(x_lo - half / 2.0, -MAX_ABS_X)
-        x_hi = min(x_hi + half / 2.0, MAX_ABS_X)
+        rows = rows[~inner & ~widest]
+        half = hi[rows] - lo[rows]  # doubling the window width
+        lo[rows] = np.maximum(lo[rows] - half / 2.0, -MAX_ABS_X)
+        hi[rows] = np.minimum(hi[rows] + half / 2.0, MAX_ABS_X)
 
-    a, b = float(xs[i - 1]), float(xs[i + 1])
-    while True:
-        grid = np.linspace(a, b, REFINE_POINTS)
-        tg = transmission_many(params, steady, params.omega_phi * (1.0 + grid))
-        j = int(np.argmin(tg))
-        a, b = float(grid[max(j - 1, 0)]), float(grid[min(j + 1, REFINE_POINTS - 1)])
-        if b - a <= X_TOL:
-            break
-    x_star, t_min = float(grid[j]), float(tg[j])
+    rows, refined = np.array(bracketed, dtype=int), []
+    while rows.size:  # refinement rounds, each bracket shrunk to its argmin's neighbours
+        rows, grid, tg, failures = _measure(stack, rows, np.linspace(a[rows], b[rows], REFINE_POINTS, axis=1))
+        results.update(failures)
+        j, k = np.argmin(tg, axis=1), np.arange(len(rows))
+        a[rows], b[rows] = grid[k, np.maximum(j - 1, 0)], grid[k, np.minimum(j + 1, REFINE_POINTS - 1)]
+        x_star[rows], t_min[rows] = grid[k, j], tg[k, j]
+        done = b[rows] - a[rows] <= X_TOL
+        refined += rows[done].tolist()
+        rows = rows[~done]
 
-    # discrete second difference at the converged minimum
+    # discrete second difference at each converged minimum
     h = max(10.0 * X_TOL, 1e-8)
-    pair = np.array([x_star - h, x_star + h])
-    t_lo, t_hi = transmission_many(params, steady, params.omega_phi * (1.0 + pair))
-    curvature = float(t_lo + t_hi) - 2.0 * t_min
-    floor = CURVATURE_FLOOR_EPS * np.finfo(float).eps * t_min
-    if not curvature > floor:
-        raise NoInteriorMinimum(
-            f"refined point x = {x_star:.6e} has discrete curvature {curvature:.3e}, "
-            f"not above the rounding floor {floor:.3e}"
-        )
+    rows = np.array(refined, dtype=int)
+    rows, _, pair, failures = _measure(stack, rows, np.stack([x_star[rows] - h, x_star[rows] + h], axis=1))
+    results.update(failures)
+    curvature = (pair[:, 0] + pair[:, 1]) - 2.0 * t_min[rows]
+    floor = CURVATURE_FLOOR_EPS * np.finfo(float).eps * t_min[rows]
+    for r, c, f in zip(rows.tolist(), curvature.tolist(), floor.tolist()):
+        results[r] = ValleyReport(x_star=float(x_star[r]), t_min=float(t_min[r]), curvature_sign_ok=True,
+                                  fwhm=None, window=(float(lo[r]), float(hi[r]))) if c > f else NoInteriorMinimum(
+            f"refined point x = {x_star[r]:.6e} has discrete curvature {c:.3e}, not above the rounding floor {f:.3e}")
 
-    report = ValleyReport(x_star=x_star, t_min=t_min, curvature_sign_ok=True, fwhm=None, window=(x_lo, x_hi))
     # a dip shallower than the floor relative to the coarse-window median
-    # can never yield a linewidth; skip the measurement entirely
-    if t_min > float(np.median(ts)) - DEPTH_FLOOR:
-        return report
-    try:
-        fwhm = _measure_fwhm(params, steady, report)
-    except DipTooShallow:
-        return report
-    return replace(report, fwhm=fwhm)
+    # can never yield a linewidth; the measurement is skipped for it
+    deep = {r: results[r] for r in rows.tolist()
+            if isinstance(results[r], ValleyReport) and not t_min[r] > median[r] - DEPTH_FLOOR}
+    for r, fwhm in _measure_fwhms(stack, deep).items():
+        results[r] = fwhm if isinstance(fwhm, PointFailure) else replace(results[r], fwhm=fwhm)
+    return [results[r] for r in range(n)]
 
 
 def linewidth(xs: np.ndarray, ts: np.ndarray, x_star: float, t_min: float) -> float:
@@ -165,29 +201,49 @@ def linewidth(xs: np.ndarray, ts: np.ndarray, x_star: float, t_min: float) -> fl
     return cross(hi, hi + 1) - cross(lo + 1, lo)
 
 
-def _measure_fwhm(params: SystemParams, steady: SteadyState, valley: ValleyReport) -> float:
-    """Half-depth width over x* +- 8 widths of the dressed mechanical pole, in one kernel call.
+def _measure_fwhms(stack: ProbeStack, valleys: dict) -> dict:
+    """{row: fwhm} for each stack row's ValleyReport: the half-depth width over x* +- 8 widths of the
+    dressed mechanical pole, every window in one kernel call.
 
-    Raises DipTooShallow for a shallow dip, a pole that does not settle, or
-    half-depth crossings outside that window.
+    None for a pole that does not settle, a shallow dip or half-depth
+    crossings outside the window; the SingularSystem of a row whose kernel
+    call fails.
     """
-    reach = 8.0 * dressed_mode(params, steady)[1]
-    xs = np.linspace(valley.x_star - reach, valley.x_star + reach, FWHM_POINTS)
-    ts = transmission_many(params, steady, params.omega_phi * (1.0 + xs))
-    try:
-        return linewidth(xs, ts, valley.x_star, valley.t_min)
-    except ValueError as err:
-        raise DipTooShallow(f"{err} (x* +- {reach:.3e})") from err
+    fwhms, reach = {}, {}
+    for r in valleys:
+        try:
+            reach[r] = 8.0 * dressed_mode(*stack.points[r])[1]
+        except DipTooShallow:
+            fwhms[r] = None
+    x, d = np.array([valleys[r].x_star for r in reach]), np.array(list(reach.values()))
+    rows, xs, ts, failures = _measure(stack, np.array(list(reach), dtype=int),
+                                      np.linspace(x - d, x + d, FWHM_POINTS, axis=1))
+    fwhms.update(failures)
+    for r, xs_r, ts_r in zip(rows.tolist(), xs, ts):
+        try:
+            fwhms[r] = linewidth(xs_r, ts_r, valleys[r].x_star, valleys[r].t_min)
+        except (DipTooShallow, ValueError):
+            fwhms[r] = None
+    return fwhms
 
 
-def _step_shift(params: SystemParams, steady: SteadyState) -> float:
-    """|x*(l1+1) - x*(l1)| from the operating point at l1, at its own detuning-2 spec.
+def _step_shifts(points) -> list:
+    """|x*(l1+1) - x*(l1)| at each operating point, at its own detuning-2 spec, or the PointFailure of either
+    charge: the l1+1 points solved in one `operating_points` call, all valleys located in one `find_valleys` call."""
+    above = operating_points([replace(p.config, charge_l1=p.config.charge_l1 + 1) for p, _ in points])
+    solved = [i for i, point in enumerate(above) if not isinstance(point, PointFailure)]
+    valleys = find_valleys([*points, *(above[i] for i in solved)])
+    for i, valley in zip(solved, valleys[len(points):]):
+        above[i] = valley
+    return [own if isinstance(own, PointFailure) else up if isinstance(up, PointFailure)
+            else abs(up.x_star - own.x_star) for own, up in zip(valleys, above)]
 
-    Raises what operating_point and find_valley raise for either charge.
-    """
-    x_star = find_valley(params, steady).x_star
-    above = replace(params.config, charge_l1=params.config.charge_l1 + 1)
-    return abs(find_valley(*operating_point(above)).x_star - x_star)
+
+def _resonance_transmissions(points) -> list:
+    """T at Omega = omega_phi at each operating point, one (rows, 1) kernel call, or the row's SingularSystem."""
+    stack = probe_stack(points)
+    ts, failures = transmission_rows(stack, np.arange(len(stack.points)), stack.omega_phi[:, None])
+    return [failures.get(r, t) for r, t in enumerate(ts[:, 0].tolist())]
 
 
 def shift_distance(params_template: SystemParams, l1: int, delta2_scan):
@@ -205,12 +261,12 @@ SWEEP_AXES = {
     "detuning2": lambda config, v: replace(config, detuning2=Detuning2Spec("effective", float(v))),
     "charge-l1": lambda config, v: replace(config, charge_l1=int(v)),
 }
-#: sweep observable -> (CSV column, its value at one operating point (params, steady))
+#: sweep observable -> (CSV column, its value or PointFailure at each of a list of operating points (params, steady))
 SWEEP_OBSERVABLES = {
-    "x-star": ("x_star", lambda p, st: find_valley(p, st).x_star),
-    "resonance-transmission": ("T", lambda p, st: transmission_at(p, st, p.omega_phi)),
-    "detuning": ("delta1_normalized", lambda p, st: (st.delta1 - p.omega_phi) / p.omega_phi),
-    "shift-distance": ("d", _step_shift),
+    "x-star": ("x_star", lambda points: [v if isinstance(v, PointFailure) else v.x_star for v in find_valleys(points)]),
+    "resonance-transmission": ("T", _resonance_transmissions),
+    "detuning": ("delta1_normalized", lambda points: [(st.delta1 - p.omega_phi) / p.omega_phi for p, st in points]),
+    "shift-distance": ("d", _step_shifts),
 }
 
 
@@ -227,16 +283,16 @@ def sweep_values(axis: str, start: float, stop: float, n: int) -> list:
 
 
 def scan(configs, measure) -> list:
-    """measure(params, steady) at each config's operating point, or the PointFailure raised in its place.
+    """The result at each config's operating point, or the PointFailure in its place.
 
-    All configs are solved together (`operating_points`), then measured in turn.
+    All configs are solved together (`operating_points`), and the points
+    that have a steady state are measured as one batch: measure(points)
+    returns a result or a PointFailure per (params, steady).
     """
-    results = []
-    for point in operating_points(configs):
-        try:
-            results.append(measure(*point_or_raise(point)))
-        except PointFailure as err:
-            results.append(err)
+    results = operating_points(configs)
+    solved = [i for i, point in enumerate(results) if not isinstance(point, PointFailure)]
+    for i, result in zip(solved, measure([results[i] for i in solved])):
+        results[i] = result
     return results
 
 

@@ -10,6 +10,10 @@ from oamcavity import (
     DipTooShallow,
     Multistable,
     NoInteriorMinimum,
+    PointFailure,
+    SingularSystem,
+    ValleyReport,
+    build_calibration,
     derive_params,
     default_config,
     detuning_curve,
@@ -28,8 +32,8 @@ from oamcavity.response import (
     transmission_at,
     transmission_many,
 )
-from oamcavity.spectrum import sweep, sweep_values
-from oamcavity.steady import operating_point
+from oamcavity.spectrum import find_valleys, sweep, sweep_values
+from oamcavity.steady import operating_point, operating_points
 
 
 def synthetic_lorentzian_spectrum(kappa_t, x0, depth, x_lo, x_hi, n):
@@ -235,24 +239,39 @@ def test_rounding_level_minimum_is_not_a_valley(monkeypatch):
         find_valley(p, st)
 
 
+def _count_kernel_calls(monkeypatch) -> list:
+    """The points per row of every stacked kernel call made from now on, in call order."""
+    sizes = []
+    kernel = response.transmission_rows
+
+    def counted(stack, rows, omegas):
+        sizes.append(np.shape(omegas)[1])
+        return kernel(stack, rows, omegas)
+
+    # both names, so calls routed through response's one-row wrappers count as well
+    monkeypatch.setattr(response, "transmission_rows", counted)
+    monkeypatch.setattr(spectrum, "transmission_rows", counted)
+    return sizes
+
+
 def test_refinement_makes_few_kernel_calls(monkeypatch):
     """Coarse grid, a few vectorized refinement rounds and one curvature pair."""
     p, st = operating_point(load_config(str(CONFIGS / "oracle_check.json")))
-    sizes = []
-    kernel = response.transmission_many
-
-    def counted(params, steady, omegas):
-        sizes.append(len(omegas))
-        return kernel(params, steady, omegas)
-
-    # both names, so one-point calls routed through response count as well
-    monkeypatch.setattr(response, "transmission_many", counted)
-    monkeypatch.setattr(spectrum, "transmission_many", counted)
-    monkeypatch.setattr(spectrum, "_measure_fwhm", lambda *args, **kwargs: 1.0)
+    sizes = _count_kernel_calls(monkeypatch)
+    monkeypatch.setattr(spectrum, "_measure_fwhms", lambda stack, valleys: dict.fromkeys(valleys, 1.0))
     v = find_valley(p, st)
     assert v.fwhm == 1.0
     assert sizes[0] == spectrum.COARSE_POINTS
     assert len(sizes) <= 7, sizes
+
+
+def test_calibration_is_a_few_stacked_kernel_calls(monkeypatch):
+    """45 charges share each stage's kernel call: coarse grid, refinement rounds, curvature pair, linewidth."""
+    p = derive_params(load_config(str(CONFIGS / "calibration_highres.json")))
+    sizes = _count_kernel_calls(monkeypatch)
+    curve = build_calibration(p, -45, -1)
+    assert len(curve.entries) == 45
+    assert len(sizes) <= 10, sizes
 
 
 def _closed_form_t(p, st, x):
@@ -307,17 +326,62 @@ def test_valley_sits_on_the_dressed_pole_on_shipped_configs():
 def test_linewidth_is_one_kernel_call_after_the_curvature_pair(monkeypatch):
     """The width window comes from the dressed pole, so the linewidth needs no search."""
     p, st = operating_point(load_config(str(CONFIGS / "oracle_check.json")))
-    sizes = []
-    kernel = response.transmission_many
-
-    def counted(params, steady, omegas):
-        sizes.append(len(omegas))
-        return kernel(params, steady, omegas)
-
-    monkeypatch.setattr(spectrum, "transmission_many", counted)
+    sizes = _count_kernel_calls(monkeypatch)
     v = find_valley(p, st)
     assert v.fwhm is not None
     assert sizes[sizes.index(2) + 1:] == [spectrum.FWHM_POINTS], sizes
+
+
+def _same_outcome(got, want):
+    if isinstance(want, PointFailure):
+        return type(got) is type(want) and str(got) == str(want)
+    return got == want and all(x.hex() == y.hex() for x, y in ((got.x_star, want.x_star), (got.t_min, want.t_min)))
+
+
+def test_stacked_valleys_equal_one_row_searches():
+    """One mixed stack: every shipped monostable config (window doubling, NoInteriorMinimum, with and without
+    an FWHM) and calibration_highres at l1 = -45..45 (l1 = 0 has no valley)."""
+    configs = [load_config(str(path)) for path in sorted(CONFIGS.glob("*.json"))]
+    base = load_config(str(CONFIGS / "calibration_highres.json"))
+    configs += [dataclasses.replace(base, charge_l1=l1) for l1 in range(-45, 46)]
+    points = [point for point in operating_points(configs) if not isinstance(point, PointFailure)]
+    stacked = find_valleys(points)
+    assert len(stacked) == len(points) == len(configs) - 1  # bistable_demo is multistable
+    one_row = []
+    for point in points:
+        try:
+            one_row.append(find_valley(*point))
+        except PointFailure as err:
+            one_row.append(err)
+    for k, (got, want) in enumerate(zip(stacked, one_row)):
+        assert _same_outcome(got, want), (k, got, want)
+    kinds = [type(v).__name__ if isinstance(v, PointFailure) else "fwhm" if v.fwhm else "valley" for v in stacked]
+    assert {"NoInteriorMinimum", "fwhm", "valley"} <= set(kinds)
+    assert any(isinstance(v, ValleyReport) and v.window != spectrum.DEFAULT_WINDOW or
+               isinstance(v, NoInteriorMinimum) for v in stacked)
+
+
+def test_a_failing_row_leaves_the_stack_intact():
+    """drive2-power 0, 5e159, 1e160 on oracle_check.json: rows 1 and 2 overflow the optical spring of cavity 1."""
+    cfg = load_config(str(CONFIGS / "oracle_check.json"))
+    values = sweep_values("drive2-power", 0.0, 1e160, 3)
+    points = operating_points([dataclasses.replace(cfg, drive2_power=v) for v in values])
+    valleys = find_valleys(points)
+    assert valleys[0] == find_valley(*points[0])
+    for v in valleys[1:]:
+        assert isinstance(v, SingularSystem) and str(v).startswith("optical spring of cavity 1 overflows"), v
+    for observable, value in (("x-star", -3.7427288812532360e-06), ("resonance-transmission", 9.9706268681069599e-01)):
+        _, rows = sweep(cfg, "drive2-power", observable, values)
+        assert rows[0] == (0.0, value, True), observable
+        assert [(v, ok) for v, _, ok in rows[1:]] == [(5e159, False), (1e160, False)], observable
+        assert all(math.isnan(d) for _, d, _ in rows[1:]), observable
+    # without a probe, a row is refused only when it gets past the kernel's own check
+    dark = dataclasses.replace(cfg, probe_power=0.0)
+    for observable in ("x-star", "resonance-transmission", "shift-distance"):
+        _, rows = sweep(dark, "drive2-power", observable, values[1:])
+        assert [ok for _, _, ok in rows] == [False, False], observable
+        with pytest.raises(ConfigError, match="probe_power: must be positive"):
+            sweep(dark, "drive2-power", observable, values)
 
 
 def test_unsettled_pole_leaves_no_width(monkeypatch):

@@ -9,9 +9,12 @@ Builds each workload of ``<repo-root>/bench/workloads.py`` (spectrum,
 calibrate, sweep, validate) for the seed, adds the sweeps the benchmark
 skips (`EXTRA_SWEEPS`: x-star over charge-l1, drive2-power and detuning2,
 shift-distance over detuning2 and over charge-l1 on a bare detuning-2
-config, drive-2 sweeps with invalid rows, and a detuning-2 sweep whose
+config, drive-2 sweeps with invalid rows, a detuning-2 sweep whose
 steady-state polynomial overflows on every row but the first, so that one
-batched solve holds valid and failed rows), the calibrations it skips
+batched solve holds valid and failed rows, and x-star and
+resonance-transmission over a drive-2 power whose optical spring
+overflows on every row but the first, so that one stacked kernel call
+holds valid and failed rows), the calibrations it skips
 (`EXTRA_CALIBRATIONS`: one whose l1 = 0 charge fails) and the invocations
 that must fail (`FAILURE_RUNS`), runs every invocation once through
 ``oamcavity.cli.main`` from ``<repo-root>/src`` in this process, and prints
@@ -66,6 +69,9 @@ EXTRA_SWEEPS = (
     ("resonance-transmission/drive2-power-bistable", "bistable_demo", "drive2-power", 0, 0.25, 11,
      "resonance-transmission"),
     ("detuning/detuning2-overflow", "shift_distance_base", "detuning2", 0, 4e162, 5, "detuning"),
+    ("x-star/drive2-power-overflow", "oracle_check", "drive2-power", 0, 1e160, 3, "x-star"),
+    ("resonance-transmission/drive2-power-overflow", "oracle_check", "drive2-power", 0, 1e160, 3,
+     "resonance-transmission"),
 )
 #: (name, config, l_min, l_max): calibrate runs; config is a stem under configs/
 EXTRA_CALIBRATIONS = (
