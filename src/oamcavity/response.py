@@ -14,10 +14,10 @@ The hot path eliminates the system exactly onto phi+ (O(1) arithmetic per
 detuning), and it is one stacked kernel: `transmission_rows` evaluates T
 over a (rows, points) grid of operating points and detunings, each row's
 scalars gathered once (`probe_stack`) and the grid evaluated in blocks of
-BLOCK_POINTS.  A failing row comes back as its SingularSystem and leaves
-the other rows alone.  Every T evaluation goes through it;
-`c1_plus_many`, `transmission_many` and `transmission_at` are its one-row
-case and raise the row's failure.  The six-amplitude LU
+BLOCK_POINTS, one `_kernel` pass for every row.  A failing row comes back
+as its SingularSystem, all nan, and leaves the other rows alone.  Every T
+evaluation goes through it; `transmission_many` and `transmission_at` are
+its one-row case and raise the row's failure.  The six-amplitude LU
 `sideband_response` is the reference: `validate` compares the oracle's
 c1+ with it, and the tests compare the kernel with it and check its phi_-.
 The closed-form single-amplitude expression (D1..D4 form) is a third,
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +61,6 @@ class ProbeResponse:
     c2_minus_conj: complex
     phi_plus: complex
     phi_minus_conj: complex
-    condition_estimate: float
 
 
 def _system_matrix(params: SystemParams, steady: SteadyState, omega: float):
@@ -102,8 +101,7 @@ def sideband_response(params: SystemParams, steady: SteadyState, omega: float) -
     """Solve the sideband system at probe-drive detuning Omega.
 
     Partial-pivot LU on the row/column-equilibrated matrix, one step of
-    iterative refinement.  A conditioning estimate of the equilibrated
-    system is returned for diagnostics.
+    iterative refinement.
 
     Raises
     ------
@@ -137,7 +135,6 @@ def sideband_response(params: SystemParams, steady: SteadyState, omega: float) -
     y += np.linalg.solve(a_s, b_s - a_s @ y)  # one refinement step
     u = y * col_scale
 
-    cond = float(np.linalg.cond(a_s))
     return ProbeResponse(
         omega=omega,
         c1_plus=complex(u[0]),
@@ -146,7 +143,6 @@ def sideband_response(params: SystemParams, steady: SteadyState, omega: float) -
         c2_minus_conj=complex(u[3]),
         phi_plus=complex(u[4]),
         phi_minus_conj=complex(u[5]),
-        condition_estimate=cond,
     )
 
 
@@ -271,9 +267,10 @@ def _spring_overflow(params: SystemParams, steady: SteadyState) -> SingularSyste
 class ProbeStack:
     """The sideband kernel's constants for a stack of operating points, gathered once.
 
-    `constants` holds one `_row_constants` column per point (zeros for a
-    point in `failures`, whose optical spring overflows); `omega_phi` is
-    each point's mechanical frequency.
+    `constants` holds one `_row_constants` column per point, a point without
+    a probe gathered with a unit one (T does not scale with it) and a point
+    in `failures` (its optical spring overflows) as zeros with a unit probe,
+    so the kernel's T of neither is a 0/0; `omega_phi` is each point's frequency.
     """
 
     points: tuple
@@ -286,39 +283,31 @@ def probe_stack(points) -> ProbeStack:
     """The ProbeStack of the operating points (params, steady)."""
     points = tuple(points)
     failures = {r: err for r, err in enumerate(_spring_overflow(*point) for point in points) if err is not None}
-    rows = [(0,) * len(_Constants._fields) if r in failures else _row_constants(*point)
-            for r, point in enumerate(points)]
+    blank = _Constants(*(0.0,) * len(_Constants._fields))._replace(eps_p=1.0)
+    rows = [blank if r in failures else _row_constants(p if p.eps_p > 0 else replace(p, eps_p=1.0), st)
+            for r, (p, st) in enumerate(points)]
     constants = np.array(rows, dtype=complex).reshape(len(points), len(_Constants._fields)).T
     return ProbeStack(points, constants, np.array([params.omega_phi for params, _ in points]), failures)
 
 
 def transmission_rows(stack: ProbeStack, rows, omegas) -> tuple[np.ndarray, dict]:
-    """T at omegas[k] for the stack's point rows[k]: the kernel over a (rows, points) grid.
+    """T at omegas[k] for the stack's point rows[k]: one `_kernel` call over a (rows, points) grid.
 
-    Returns (ts, failures): failures maps a stack row to its SingularSystem
-    (the message `c1_plus_many` raises), and that row of ts is nan.  A
-    point without a probe raises ConfigError (`probe_amplitude`) unless
-    its row fails.
+    Returns (ts, failures): failures maps a stack row to its SingularSystem,
+    and that row of ts is nan.  A point without a probe raises ConfigError
+    (`probe_amplitude`) unless its row fails.
     """
     rows = np.asarray(rows, dtype=int)
-    omegas = np.ascontiguousarray(omegas, dtype=float)
-    dark = np.array([not stack.points[r][0].eps_p > 0 for r in rows.tolist()], dtype=bool)
-    if not dark.any():
-        ts, failures = _kernel(stack, rows, omegas, transmit=True)
-    else:  # refused after the kernel's own check, as transmission after c1_plus_many
-        failures = _kernel(stack, rows[dark], omegas[dark], transmit=False)[1]
-        for r in rows[dark].tolist():
-            if r not in failures:
-                probe_amplitude(stack.points[r][0])
-        ts = np.full(omegas.shape, np.nan)
-        ts[~dark], lit = _kernel(stack, rows[~dark], omegas[~dark], transmit=True)
-        failures.update(lit)
+    ts, failures = _kernel(stack, rows, np.ascontiguousarray(omegas, dtype=float))
+    for r in rows.tolist():  # after the kernel, so a failing point names its failure, not its missing probe
+        if r not in failures:
+            probe_amplitude(stack.points[r][0])
     _log_gain(ts)
     return ts, failures
 
 
-def _kernel(stack: ProbeStack, rows: np.ndarray, omegas: np.ndarray, transmit: bool):
-    """c1+ (or T when `transmit`) of each row over its omegas, in blocks of about BLOCK_POINTS detunings.
+def _kernel(stack: ProbeStack, rows: np.ndarray, omegas: np.ndarray):
+    """(ts, failures): T of each row over its omegas, in blocks of about BLOCK_POINTS detunings.
 
     Each cavity row of the sideband system couples only to its own
     amplitude and to phi, and the two mechanical rows differ only in
@@ -333,40 +322,32 @@ def _kernel(stack: ProbeStack, rows: np.ndarray, omegas: np.ndarray, transmit: b
 
     A row fails with its stack failure, or naming its first detuning where
     |den| > DET_THRESHOLD*(|mech| + |s1| + |s2|) fails (an overflowing or
-    NaN den included) or a1*den is not finite; its output row is nan and
-    the rest of it is not evaluated.
+    NaN den included) or a1*den is not finite.  Every block evaluates every
+    row, and a failed row's ts are set to nan at the end.
     """
     n_rows, n = omegas.shape
-    out = np.full((n_rows, n), np.nan, dtype=float if transmit else complex)
+    ts = np.empty((n_rows, n))
     failures = {r: stack.failures[r] for r in rows.tolist() if r in stack.failures}
-    alive = np.array([r not in failures for r in rows.tolist()], dtype=bool)
     columns = stack.constants[:, rows, None]
     row_step, col_step = max(1, BLOCK_POINTS // max(n, 1)), max(1, min(n, BLOCK_POINTS))
     for r0 in range(0, n_rows, row_step):
-        live = alive[r0 : r0 + row_step]
-        block = slice(r0, r0 + row_step) if live.all() else r0 + np.flatnonzero(live)
+        c = _Constants(*columns[:, r0 : r0 + row_step])
         for c0 in range(0, n, col_step):
-            w = omegas[block, c0 : c0 + col_step]
-            c = _Constants(*columns[:, block])
-            a1, a1_den, ok = _denominators(c, w)
-            good = ok.all(axis=1)
-            if not good.all():
-                index = np.arange(n_rows)[block]
-                for k in np.flatnonzero(~good):
-                    failures[int(rows[index[k]])] = SingularSystem(
-                        f"sideband system singular at Omega = {w[k, np.argmin(ok[k])]:.6e} rad/s")
-                    alive[index[k]] = False
-                block, c, a1, a1_den = index[good], _Constants(*columns[:, index[good]]), a1[good], a1_den[good]
-            c1_plus = (c.eps_p - c.coupling * (c.phi_drive / a1_den)) / a1
-            out[block, c0 : c0 + col_step] = _output(c.two_kappa1, c.eps_p, c1_plus) if transmit else c1_plus
-    return out, failures
+            w = omegas[r0 : r0 + row_step, c0 : c0 + col_step]
+            ts[r0 : r0 + row_step, c0 : c0 + col_step], ok = _transmission_block(c, w)
+            for k in np.flatnonzero(~ok.all(axis=1)).tolist():
+                failures.setdefault(int(rows[r0 + k]), SingularSystem(
+                    f"sideband system singular at Omega = {w[k, np.argmin(ok[k])]:.6e} rad/s"))
+    if failures:
+        ts[np.isin(rows, list(failures))] = np.nan
+    return ts, failures
 
 
-def _denominators(c: _Constants, w):
-    """(a1, a1*den, ok) over one block of detunings w, with the row constants c as (rows, 1) columns.
+def _transmission_block(c: _Constants, w):
+    """(T, ok) over one block of detunings w, with the row constants c as (rows, 1) columns.
 
     ok holds where |den| clears DET_THRESHOLD*(|mech| + |s1| + |s2|) and
-    a1*den is finite.  The other temporaries of the block end here.
+    a1*den is finite; elsewhere T is 1 (c1+ = 0), a value the caller discards.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         iw = 1j * w
@@ -375,28 +356,10 @@ def _denominators(c: _Constants, w):
         den = mech + s1 + s2
         a1_den = a1 * den  # phi+'s denominator overflows where den need not (quality_factor = 1e-290)
         ok = (np.abs(den) > DET_THRESHOLD * (np.abs(mech) + np.abs(s1) + np.abs(s2))) & np.isfinite(a1_den)
-    return a1, a1_den, ok
-
-
-def _one_row(params: SystemParams, steady: SteadyState, omegas, transmit: bool) -> np.ndarray:
-    omegas = np.asarray(omegas, dtype=float)
-    stack = probe_stack([(params, steady)])
-    if transmit:
-        out, failures = transmission_rows(stack, [0], omegas.reshape(1, -1))
-    else:
-        out, failures = _kernel(stack, np.zeros(1, dtype=int), omegas.reshape(1, -1), transmit=False)
-    if failures:
-        raise failures[0]
-    return out.reshape(omegas.shape)
-
-
-def c1_plus_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarray:
-    """c1+ over many probe detunings: the one-row case of the stacked kernel (`_kernel`).
-
-    Raises SingularSystem when Delta_i^2 or g_i*N_i*Delta_i overflows, or
-    naming the first detuning where the kernel's denominator check fails.
-    """
-    return _one_row(params, steady, omegas, transmit=False)
+    if not ok.all():
+        a1[~ok] = a1_den[~ok] = np.inf
+    c1_plus = (c.eps_p - c.coupling * (c.phi_drive / a1_den)) / a1
+    return _output(c.two_kappa1, c.eps_p, c1_plus), ok
 
 
 def dressed_mode(params: SystemParams, steady: SteadyState) -> tuple[float, float]:
@@ -429,4 +392,8 @@ def dressed_mode(params: SystemParams, steady: SteadyState) -> tuple[float, floa
 
 def transmission_many(params: SystemParams, steady: SteadyState, omegas) -> np.ndarray:
     """Vectorized T(Omega): the one-row case of `transmission_rows`, raising its failure."""
-    return _one_row(params, steady, omegas, transmit=True)
+    omegas = np.asarray(omegas, dtype=float)
+    ts, failures = transmission_rows(probe_stack([(params, steady)]), [0], omegas.reshape(1, -1))
+    if failures:
+        raise failures[0]
+    return ts.reshape(omegas.shape)

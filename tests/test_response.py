@@ -17,7 +17,14 @@ from oamcavity import (
     transmission,
     transmission_at,
 )
-from oamcavity.response import _optical_terms, _row_constants, c1_plus_many, dressed_mode, transmission_many
+from oamcavity.response import (
+    _optical_terms,
+    _row_constants,
+    dressed_mode,
+    probe_stack,
+    transmission_many,
+    transmission_rows,
+)
 from oamcavity.steady import SteadyState
 
 
@@ -127,32 +134,41 @@ def test_passivity_in_default_regime(weak_bright):
 def test_batch_matches_scalar(weak_bright):
     p, st = weak_bright
     omegas = p.omega_phi * (1 + np.array([-0.2, -1e-5, 0.0, 1e-5, 0.3]))
-    batch = c1_plus_many(p, st, omegas)
-    for om, c in zip(omegas, batch):
-        assert c == pytest.approx(sideband_response(p, st, om).c1_plus, rel=1e-12)
+    batch = transmission_many(p, st, omegas)
+    for om, t in zip(omegas, batch):
+        assert t == pytest.approx(transmission(p, sideband_response(p, st, om).c1_plus), rel=1e-12)
 
 
-def test_condition_estimate_reported(weak_dark):
-    p, st = weak_dark
-    r = sideband_response(p, st, p.omega_phi)
-    assert r.condition_estimate > 1.0 and math.isfinite(r.condition_estimate)
-
-
-def test_singular_system_guard(weak_dark):
-    p, _ = weak_dark
-    # degenerate: no mechanical damping, no coupling, probe at the bare
-    # mechanical resonance zeroes both mechanical rows
-    p0 = dataclasses.replace(p, g1=0.0, g2=0.0, gamma_phi=0.0)
+def singular_point(p):
+    """No mechanical damping and no coupling: a probe at the bare mechanical
+    resonance zeroes both mechanical rows."""
     st = SteadyState(
         phi=0.0, c1=0j, c2=0j,
         delta1=p.detuning1, delta2=0.0, n1=0.0, n2=0.0,
         residual=0.0, branch_tag="selected",
     )
+    return dataclasses.replace(p, g1=0.0, g2=0.0, gamma_phi=0.0), st
+
+
+def test_singular_system_guard(weak_dark):
+    p0, st = singular_point(weak_dark[0])
     with pytest.raises(SingularSystem):
-        sideband_response(p0, st, p.omega_phi)
+        sideband_response(p0, st, p0.omega_phi)
     with pytest.raises(SingularSystem) as exc:
-        c1_plus_many(p0, st, np.array([p.omega_phi]))
+        transmission_many(p0, st, np.array([p0.omega_phi]))
     assert exc.value.reason == "SingularSystem"
+
+
+def test_row_failing_in_a_later_block_is_nan_throughout(weak_dark):
+    # the singular row's first bad detuning is its last, in the kernel's second block
+    p, st = weak_dark
+    omegas = np.linspace(0.5 * p.omega_phi, p.omega_phi, 5001)
+    stack = probe_stack([(p, st), singular_point(p)])
+    ts, failures = transmission_rows(stack, [0, 1], np.stack([omegas, omegas]))
+    assert list(failures) == [1]
+    assert "Omega = 6.283185e+07" in str(failures[1])
+    assert np.isnan(ts[1]).all()
+    assert np.array_equal(ts[0], transmission_many(p, st, omegas))
 
 
 def test_rejects_non_finite_detuning(weak_dark):

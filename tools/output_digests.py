@@ -16,12 +16,13 @@ resonance-transmission over a drive-2 power whose optical spring
 overflows on every row but the first, so that one stacked kernel call
 holds valid and failed rows), the calibrations it skips
 (`EXTRA_CALIBRATIONS`: one whose l1 = 0 charge fails) and the invocations
-that must fail (`FAILURE_RUNS`), runs every invocation once through
-``oamcavity.cli.main`` from ``<repo-root>/src`` in this process, and prints
-one line per data file (``<invocation> <file> <sha256>``), one per
-invocation with its exit code (``exit <code>``, or ``exception <Type>``
-for an exception that escapes ``main``) and the sha256 of its stderr, and
-one for the `validate` stdout.  The bench is imported, never modified;
+whose points fail (`FAILURE_RUNS`, among them runs without a probe, whose
+points are refused unless the kernel fails them first), runs every
+invocation once through ``oamcavity.cli.main`` from ``<repo-root>/src`` in
+this process, and prints one line per data file (``<invocation> <file>
+<sha256>``), one per invocation with its exit code (``exit <code>``, or
+``exception <Type>`` for an exception that escapes ``main``) and the
+sha256 of its stderr, and one for the `validate` stdout.  The bench is imported, never modified;
 inputs and outputs go to a temporary directory.  The extra sweeps,
 calibrations and failure runs take the shipped configs (or one-key edits of
 `oracle_check.json`, `EDITED_CONFIGS`) and do not depend on the seed.  A
@@ -84,6 +85,7 @@ EDITED_CONFIGS = {
     "quality_underflow": ("quality_factor", 1e-290),  # the kernel's a1*den overflows
     "drive1_off": ("drive1_power_w", 0),  # validate's probe, a fraction of eps1, is zero
     "drive1_overflow": ("drive1_power_w", 1e160),  # validate's lowest probe detuning is negative
+    "probe_off": ("probe_power_w", 0),  # no probe: every point the kernel does not fail is refused
 }
 #: (name, config, argv); config is a stem under configs/ or of `EDITED_CONFIGS`.
 #: "{out}" is an output path.
@@ -101,6 +103,13 @@ FAILURE_RUNS = (
     ("spectrum/quality-underflow", "quality_underflow", ["spectrum", "-n", "5", "--out", "{out}"]),
     ("validate/drive1-off", "drive1_off", ["validate", "-n", "1"]),
     ("validate/drive1-overflow", "drive1_overflow", ["validate", "-n", "1"]),
+    ("spectrum/probe-off", "probe_off", ["spectrum", "-n", "5", "--out", "{out}"]),
+    ("sweep/probe-off-overflow", "probe_off",
+     ["sweep", "--axis", "drive2-power", "--start", "0", "--stop", "1e160", "-n", "3", "--observable", "x-star",
+      "--out", "{out}"]),
+    ("sweep/probe-off-all-overflow", "probe_off",
+     ["sweep", "--axis", "drive2-power", "--start", "5e159", "--stop", "1e160", "-n", "2", "--observable",
+      "resonance-transmission", "--out", "{out}"]),
 )
 
 
