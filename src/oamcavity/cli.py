@@ -109,65 +109,63 @@ _NOT_FLAGS = ("command", "func", "config", "out", "valley_out")
 _BLOCK_ROWS = 4096
 #: Width of a formatted float, NUL-padded: len("-4.9406564584124654e-324").
 _SLOT = 24
-#: Relative precision of one long-double operation.  x87 extended (63
-#: fraction bits) and IEEE quad (112) round each operation once, if the
-#: arithmetic really carries those bits; any other long double counts as
-#: float64, where the tie test in `_float_slots` proves no value and every
-#: value goes through ``%``.
-_LD = np.finfo(np.longdouble)
-_LD_EPS = float(
-    _LD.eps if _LD.nmant in (63, 112) and np.longdouble(1) + _LD.eps > 1 else np.finfo(np.float64).eps
-)
-#: 10**0 .. 10**27, each exact in a 64-bit significand (5**27 < 2**64)
-_POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=np.longdouble))
-#: entry k holds the four ASCII digits of k, as the bytes of one uint32
-#: (built from uint8 grids, so import allocates no int64 temporaries)
+#: 10**0 .. 10**22, each exact in float64, and their Veltkamp halves (split 2**27 + 1)
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+#: entry k holds the four ASCII digits of k in its low bytes (from uint8 grids: no int64 temporaries)
 _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-_DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+_DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel().astype(np.uint64)
+#: entry k holds slot bytes 16..23 for the exponent 16 - k, the digits at 16..18 left zero
+_EXP_WORD = np.array([int.from_bytes(b"\0\0\0e%+03d\0" % (16 - k), "little") for k in range(23)], np.uint64)
 
 
-def _float_slots(v: np.ndarray) -> np.ndarray:
-    """``'%.16e' % x`` for each float64 x of `v`, as NUL-padded uint8 rows of `_SLOT`.
+def _float_slots(v: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``'%.16e' % x`` for each float64 x of `v`, as uint8 rows, and whether the rows hold no NUL.
 
-    For decimal exponent E with |16 - E| <= 27, s = |x|*10**(16-E) is one
-    rounded long-double operation on exact operands, so it lies within
-    s*eps/2 of the exact value.  Where no half-integer lies within s*eps
-    of s and rint(s) is in [1e16, 1e17), rint(s) is the correctly rounded
-    17-digit mantissa.  Every value that test cannot prove (0, -0, nan,
-    inf, E out of range, near-ties, a rint of 1e17) is formatted by ``%``.
+    For decimal exponent E in -6..16, 10**(16 - E) is exact, and Dekker's
+    TwoProduct gives s + err = |x|*10**(16 - E) exactly in float64.  Where
+    that lies in [1e16, 1e17) and is no exact tie, s + rint(err) is the
+    correctly rounded 17-digit mantissa on every platform; every other value
+    (0, -0, nan, inf, E out of range, ties, a log10 one off next to a power
+    of ten) is formatted by ``%``.  Rows are `_SLOT` wide and NUL-padded, or
+    cut to their one width when `v` has one sign and was all proven.
     """
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(a))
-    ok = np.abs(e - 16) <= 27  # False for 0, nan and inf
-    e = np.where(ok, e, 16).astype(np.int64)
-    a = np.where(ok, a, 1e16).astype(np.longdouble)
-    p = _POW10[np.abs(16 - e)]
-    s = np.where(e <= 16, a * p, a / p)
-    m = np.rint(s)
-    # s - m is exact; s < 1e16 or m = 1e17 means log10 was one off, next to a power of ten
-    tie_distance = 0.5 - np.abs((s - m).astype(np.float64))
-    ok &= (s >= 1e16) & (m < 1e17) & (tie_distance > s.astype(np.float64) * _LD_EPS)
-    m = m.astype(np.int64)
-
-    out = np.zeros((len(v), _SLOT), np.uint8)
-    out[:, 0] = np.where(np.signbit(v), ord("-"), 0)
+    ok = (e >= -6) & (e <= 16)  # False for 0, nan and inf
+    k = np.where(ok, 16 - e, 0).astype(np.intp)
+    a = np.where(ok, a, 1e16)
+    s = a * _POW10.take(k)
+    ah = a * 134217729.0 - (a * 134217729.0 - a)
+    al = a - ah
+    ph, pl = _POW10_HI.take(k), _POW10_LO.take(k)
+    err = ((ah * ph - s) + ah * pl + al * ph) + al * pl
+    r = np.rint(err)
+    m = s.astype(np.int64) + r.astype(np.int64)
+    # s + err < 1e16 or m = 1e17 means log10 was one off, next to a power of ten
+    ok &= ((s > 1e16) | (s == 1e16) & (err >= 0)) & (s < 1e17) & (m < 10**17) & (np.abs(err - r) != 0.5)
     # numpy floor-divides by a constant fast and takes % slowly, so remainders are multiply-subtract
-    lead, m8 = m // 10**16, m // 10**8
-    halves = np.stack((m8 - lead * 10**8, m - m8 * 10**8), axis=1)
-    h4 = halves // 10**4
-    quads = np.stack((h4, halves - h4 * 10**4), axis=2).reshape(len(v), 4)
-    out[:, 1] = lead + ord("0")
-    out[:, 2] = ord(".")
-    out[:, 3:19] = _DIGITS4[quads].view(np.uint8)
-    out[:, 19] = ord("e")
-    out[:, 20] = np.where(e < 0, ord("-"), ord("+"))
-    out[:, 21:23] = _DIGITS4[np.abs(e)].view(np.uint8).reshape(-1, 4)[:, 2:]
+    m8, lead = m // 10**8, m // 10**16
+    hi, lo = m8 - lead * 10**8, m - m8 * 10**8
+    h4, l4 = hi // 10**4, lo // 10**4
+    d1, d3 = _DIGITS4.take(hi - h4 * 10**4), _DIGITS4.take(lo - l4 * 10**4)
+    # three little-endian words: sign, lead, '.', digits 1-5 | digits 6-13 | digits 14-16, 'e', exponent
+    head = (lead << 8) + (np.signbit(v) * ord("-") + (ord("0") << 8 | ord(".") << 16))
+    words = np.empty((len(v), 3), np.uint64)
+    words[:, 0] = head.view(np.uint64) | _DIGITS4.take(h4) << 24 | d1 << 56
+    words[:, 1] = d1 >> 8 | _DIGITS4.take(l4) << 24 | d3 << 56
+    words[:, 2] = d3 >> 8 | _EXP_WORD.take(k)
+    out = words.view(np.uint8).reshape(len(v), _SLOT)
     bad = np.flatnonzero(~ok)
     if bad.size:
         text = np.array([b"%.16e" % x for x in v[bad].tolist()], dtype=f"S{_SLOT}")
         out[bad] = text.view(np.uint8).reshape(-1, _SLOT)
-    return out
+    n_negative = np.count_nonzero(np.signbit(v))
+    if bad.size or 0 < n_negative < len(v):
+        return out, False
+    return out[:, int(n_negative == 0) : 23], True
 
 
 def _column(c) -> np.ndarray:
@@ -193,23 +191,25 @@ def _write_csv(path, header: list[str], columns) -> None:
     Int and bool columns (see `_column`) are written as ``%d``, bools as
     0/1; any other as ``%.16e``, 17 significant digits, round-trippable.
     The bytes are those of ``'%.16e' % x``: `_float_slots` takes the digits
-    from one exactly rounded long-double scaling where it can prove them,
-    and formats every other value with ``%`` itself.  Rows are laid out in
-    blocks of `_BLOCK_ROWS` as fixed NUL-padded slots, NULs dropped.
+    from an exact float64 product where it can prove them, and formats every
+    other value with ``%`` itself.  Rows are laid out in blocks of
+    `_BLOCK_ROWS` as slots; a block of float columns of one width each is
+    written as it is, any other is NUL-padded and its NULs dropped.
     """
     columns = [_column(c) for c in columns]
     n = len(columns[0]) if columns else 0
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, n, _BLOCK_ROWS):
-            parts = []
+            parts, uniform = [], True
             for c in columns:
                 block = c[start : start + _BLOCK_ROWS]
-                slots = _float_slots(block) if c.dtype == np.float64 else block.view(np.uint8)
+                slots, one_width = _float_slots(block) if c.dtype == np.float64 else (block.view(np.uint8), False)
+                uniform &= one_width
                 parts += [slots.reshape(len(block), -1), np.full((len(block), 1), ord(","), np.uint8)]
             parts[-1][:] = ord("\n")
             rows = np.concatenate(parts, axis=1)
-            fh.write(rows.tobytes().translate(None, b"\0"))
+            fh.write(rows.data if uniform else rows.tobytes().replace(b"\0", b""))
 
 
 def _write_manifest(out_path, subcommand: str, args, config) -> None:

@@ -147,21 +147,25 @@ def _percent_csv(columns) -> bytes:
     return _row_by_row_csv(header, list(zip(*(np.asarray(c).tolist() for c in columns)))).encode()
 
 
+def _exact_ties() -> list[float]:
+    """Exact 18-digit ties, x*10**(16-e) = n + 1/2: x = q*2**(e-17) with q odd and below 2**53."""
+    ties = [5.0 * (10**17 + 2 * j) for j in range(-20, 21)]
+    for e in range(-5, 15):
+        lo, hi = -(-2 * 10**16 // 5 ** (16 - e)), 2 * 10**17 // 5 ** (16 - e)
+        ties += [q * 2.0 ** (e - 17) for q in range(lo | 1, hi, max(2, (hi - lo) // 8 * 2))]
+    return ties
+
+
 def _adversarial_floats() -> np.ndarray:
     """Values next to every decision `_float_slots` makes, and random bit patterns."""
     rng = np.random.default_rng(14)
     powers = np.array([10.0**k for k in range(-30, 41)])
     ulps = (powers.view(np.int64)[:, None] + np.arange(-50, 51)).ravel().view(np.float64)
-    # exact 18-digit ties, x*10**(16-e) = n + 1/2: x = q*2**(e-17) with q odd and below 2**53
-    ties = [5.0 * (10**17 + 2 * j) for j in range(-20, 21)]
-    for e in range(-5, 15):
-        lo, hi = -(-2 * 10**16 // 5 ** (16 - e)), 2 * 10**17 // 5 ** (16 - e)
-        ties += [q * 2.0 ** (e - 17) for q in range(lo | 1, hi, max(2, (hi - lo) // 8 * 2))]
     subnormals = rng.integers(1, 2**52, 200).view(np.float64)
     specials = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-07,
                 math.nan, math.inf, -math.inf]
     bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
-    return np.concatenate([ulps, -ulps, ties, subnormals, -subnormals, specials, bits])
+    return np.concatenate([ulps, -ulps, _exact_ties(), subnormals, -subnormals, specials, bits])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200,
@@ -181,14 +185,36 @@ def test_write_csv_adversarial_floats_match_percent(tmp_path):
     assert b"\n9.9999999999999995e-08\n" in out.read_bytes()
 
 
-def test_write_csv_at_float64_precision_formats_every_value_with_percent(tmp_path, monkeypatch):
+def test_write_csv_unproven_values_go_through_percent(tmp_path, monkeypatch):
     # digits that no correct row holds: any value the kernel formatted would show them
-    monkeypatch.setattr(cli, "_LD_EPS", float(np.finfo(np.float64).eps))
     monkeypatch.setattr(cli, "_DIGITS4", np.full_like(cli._DIGITS4, int.from_bytes(b"????", "little")))
-    values = np.concatenate([_adversarial_floats()[::7], np.linspace(-0.2, 0.2, 4001)])
+    subnormals = np.random.default_rng(3).integers(1, 2**52, 20).view(np.float64)
+    ties = np.array(_exact_ties())
+    values = np.concatenate([[0.0, -0.0, math.nan, math.inf, -math.inf, 1e-7, 9.99e-7, 1e17, 1.5e300],
+                             subnormals, -subnormals, ties, -ties])
     out = tmp_path / "f.csv"
     _write_csv(out, ["c0", "c1"], [values, values[::-1]])
     assert out.read_bytes() == _percent_csv([values, values[::-1]])
+    _write_csv(out, ["x"], [np.linspace(-0.2, 0.2, 40001)])
+    assert [row for row in out.read_bytes().splitlines()[1:] if b"?" not in row] == [b"0.0000000000000000e+00"]
+
+
+def test_write_csv_blocks_of_one_width_and_of_mixed_signs(tmp_path):
+    block = cli._BLOCK_ROWS
+    n = 3 * block + 7
+    rng = np.random.default_rng(8)
+    x = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-6, 10, n)  # E <= 9: exact ties are rare
+    x[block : 2 * block] *= -1  # the sign changes exactly at the first block boundary
+    x[2 * block : 3 * block : 3] *= -1
+    x[2 * block : 2 * block + 3] = [0.0, -0.0, math.nan]
+    t = rng.uniform(0.0, 1.0, n)
+    assert [cli._float_slots(x[i : i + block])[1] for i in range(0, n, block)] == [True, True, False, True]
+    for name, columns in {"floats": [x, t], "with-ints": [x, np.arange(n) - block, x > 0, t]}.items():
+        out = tmp_path / f"{name}.csv"
+        header = [f"c{i}" for i in range(len(columns))]
+        _write_csv(out, header, columns)
+        want = _row_by_row_csv(header, list(zip(*(c.tolist() for c in columns))))
+        assert out.read_bytes() == want.encode(), name
 
 
 def test_write_csv_header_only(tmp_path):

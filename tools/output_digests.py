@@ -15,7 +15,9 @@ batched solve holds valid and failed rows, and x-star and
 resonance-transmission over a drive-2 power whose optical spring
 overflows on every row but the first, so that one stacked kernel call
 holds valid and failed rows), the calibrations it skips
-(`EXTRA_CALIBRATIONS`: one whose l1 = 0 charge fails) and the invocations
+(`EXTRA_CALIBRATIONS`: one whose l1 = 0 charge fails), the spectra whose
+CSV blocks it does not reach (`EXTRA_SPECTRA`: x = 0 as the first row of
+a block, and |x| below 1e-6) and the invocations
 whose points fail (`FAILURE_RUNS`, among them runs without a probe, whose
 points are refused unless the kernel fails them first), runs every
 invocation once through ``oamcavity.cli.main`` from ``<repo-root>/src`` in
@@ -24,7 +26,7 @@ this process, and prints one line per data file (``<invocation> <file>
 ``exception <Type>`` for an exception that escapes ``main``) and the
 sha256 of its stderr, and one for the `validate` stdout.  The bench is imported, never modified;
 inputs and outputs go to a temporary directory.  The extra sweeps,
-calibrations and failure runs take the shipped configs (or one-key edits of
+calibrations, spectra and failure runs take the shipped configs (or one-key edits of
 `oracle_check.json`, `EDITED_CONFIGS`) and do not depend on the seed.  A
 failure run's output path is digested too, so a run that used to succeed
 shows its file turning ``missing``.
@@ -78,6 +80,11 @@ EXTRA_SWEEPS = (
 EXTRA_CALIBRATIONS = (
     ("calibrate/highres-10..10", "calibration_highres", -10, 10),
 )
+#: (name, config, n, x_lo, x_hi): spectrum runs; config is a stem under configs/
+EXTRA_SPECTRA = (
+    ("spectrum/zero-opens-block-2", "oracle_check", 8193, -0.2, 0.2),  # x = 0 is row 4096
+    ("spectrum/below-1e-6", "oracle_check", 4001, -2e-6, 2e-6),  # about half of x has |x| < 1e-6
+)
 #: config stem -> (key, value): `oracle_check.json` with that key set
 EDITED_CONFIGS = {
     "rotation_overflow": ("rotation_frequency_rad_s", 1e160),  # omega_phi^2 overflows
@@ -114,7 +121,7 @@ FAILURE_RUNS = (
 
 
 def extra_runs(workloads, root: Path, workdir: Path) -> list:
-    """One `workloads.Op` per `EXTRA_SWEEPS` and `EXTRA_CALIBRATIONS` row, configs written under `workdir`."""
+    """One `workloads.Op` per `EXTRA_SWEEPS`, `EXTRA_CALIBRATIONS` and `EXTRA_SPECTRA` row, under `workdir`."""
     bare = json.loads((root / "configs" / "shift_distance_base.json").read_text(encoding="utf-8"))
     del bare["detuning2_effective_rad_s"]
     bare.update(detuning2_bare_rad_s=0.5 * OMEGA_PHI, drive2_power_w=0.01, charge_l1=5)
@@ -132,6 +139,11 @@ def extra_runs(workloads, root: Path, workdir: Path) -> list:
         argv = ["calibrate", "--config", str(root / "configs" / f"{stem}.json"), f"--l-min={l_min}",
                 f"--l-max={l_max}", "--out", str(out)]
         ops.append(workloads.Op(name, argv, [str(out), f"{out}.csv"]))
+    for name, stem, n, x_lo, x_hi in EXTRA_SPECTRA:
+        out = workdir / (name.replace("/", "_") + ".csv")
+        argv = ["spectrum", "--config", str(root / "configs" / f"{stem}.json"), "-n", str(n),
+                f"--x-lo={x_lo!r}", f"--x-hi={x_hi!r}", "--out", str(out)]
+        ops.append(workloads.Op(name, argv, [str(out)]))
     return ops
 
 
