@@ -115,21 +115,21 @@ _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 #: entry k holds the four ASCII digits of k in its low bytes (from uint8 grids: no int64 temporaries)
 _DIGIT = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-_DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel().astype(np.uint64)
+_DIGITS4 = np.stack(np.meshgrid(*[_DIGIT] * 4, indexing="ij"), axis=-1).view("<u4").ravel().astype(np.uint64)
 #: entry k holds slot bytes 16..23 for the exponent 16 - k, the digits at 16..18 left zero
 _EXP_WORD = np.array([int.from_bytes(b"\0\0\0e%+03d\0" % (16 - k), "little") for k in range(23)], np.uint64)
 
 
-def _float_slots(v: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``'%.16e' % x`` for each float64 x of `v`, as uint8 rows, and whether the rows hold no NUL.
+def _float_slots(v: np.ndarray) -> np.ndarray:
+    """``'%.16e' % x`` for each float64 x of `v`, as uint8 rows.
 
     For decimal exponent E in -6..16, 10**(16 - E) is exact, and Dekker's
     TwoProduct gives s + err = |x|*10**(16 - E) exactly in float64.  Where
     that lies in [1e16, 1e17) and is no exact tie, s + rint(err) is the
-    correctly rounded 17-digit mantissa on every platform; every other value
+    correctly rounded 17-digit mantissa on any platform; every other value
     (0, -0, nan, inf, E out of range, ties, a log10 one off next to a power
     of ten) is formatted by ``%``.  Rows are `_SLOT` wide and NUL-padded, or
-    cut to their one width when `v` has one sign and was all proven.
+    cut to their one width, with no NUL, when `v` has one sign and was all proven.
     """
     a = np.abs(v)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -144,8 +144,8 @@ def _float_slots(v: np.ndarray) -> tuple[np.ndarray, bool]:
     err = ((ah * ph - s) + ah * pl + al * ph) + al * pl
     r = np.rint(err)
     m = s.astype(np.int64) + r.astype(np.int64)
-    # s + err < 1e16 or m = 1e17 means log10 was one off, next to a power of ten
-    ok &= ((s > 1e16) | (s == 1e16) & (err >= 0)) & (s < 1e17) & (m < 10**17) & (np.abs(err - r) != 0.5)
+    # s + err < 1e16 or s >= 1e17 means log10 was one off, next to a power of ten
+    ok &= ((s > 1e16) | (s == 1e16) & (err >= 0)) & (s < 1e17) & (np.abs(err - r) != 0.5)
     # numpy floor-divides by a constant fast and takes % slowly, so remainders are multiply-subtract
     m8, lead = m // 10**8, m // 10**16
     hi, lo = m8 - lead * 10**8, m - m8 * 10**8
@@ -153,7 +153,7 @@ def _float_slots(v: np.ndarray) -> tuple[np.ndarray, bool]:
     d1, d3 = _DIGITS4.take(hi - h4 * 10**4), _DIGITS4.take(lo - l4 * 10**4)
     # three little-endian words: sign, lead, '.', digits 1-5 | digits 6-13 | digits 14-16, 'e', exponent
     head = (lead << 8) + (np.signbit(v) * ord("-") + (ord("0") << 8 | ord(".") << 16))
-    words = np.empty((len(v), 3), np.uint64)
+    words = np.empty((len(v), 3), "<u8")
     words[:, 0] = head.view(np.uint64) | _DIGITS4.take(h4) << 24 | d1 << 56
     words[:, 1] = d1 >> 8 | _DIGITS4.take(l4) << 24 | d3 << 56
     words[:, 2] = d3 >> 8 | _EXP_WORD.take(k)
@@ -164,8 +164,8 @@ def _float_slots(v: np.ndarray) -> tuple[np.ndarray, bool]:
         out[bad] = text.view(np.uint8).reshape(-1, _SLOT)
     n_negative = np.count_nonzero(np.signbit(v))
     if bad.size or 0 < n_negative < len(v):
-        return out, False
-    return out[:, int(n_negative == 0) : 23], True
+        return out
+    return out[:, int(n_negative == 0) : 23]
 
 
 def _column(c) -> np.ndarray:
@@ -193,23 +193,20 @@ def _write_csv(path, header: list[str], columns) -> None:
     The bytes are those of ``'%.16e' % x``: `_float_slots` takes the digits
     from an exact float64 product where it can prove them, and formats every
     other value with ``%`` itself.  Rows are laid out in blocks of
-    `_BLOCK_ROWS` as slots; a block of float columns of one width each is
-    written as it is, any other is NUL-padded and its NULs dropped.
+    `_BLOCK_ROWS` as NUL-padded slots, and the NULs are dropped.
     """
     columns = [_column(c) for c in columns]
     n = len(columns[0]) if columns else 0
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, n, _BLOCK_ROWS):
-            parts, uniform = [], True
+            parts = []
             for c in columns:
                 block = c[start : start + _BLOCK_ROWS]
-                slots, one_width = _float_slots(block) if c.dtype == np.float64 else (block.view(np.uint8), False)
-                uniform &= one_width
+                slots = _float_slots(block) if c.dtype == np.float64 else block.view(np.uint8)
                 parts += [slots.reshape(len(block), -1), np.full((len(block), 1), ord(","), np.uint8)]
             parts[-1][:] = ord("\n")
-            rows = np.concatenate(parts, axis=1)
-            fh.write(rows.data if uniform else rows.tobytes().replace(b"\0", b""))
+            fh.write(np.concatenate(parts, axis=1).tobytes().replace(b"\0", b""))
 
 
 def _write_manifest(out_path, subcommand: str, args, config) -> None:

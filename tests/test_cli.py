@@ -208,7 +208,9 @@ def test_write_csv_blocks_of_one_width_and_of_mixed_signs(tmp_path):
     x[2 * block : 3 * block : 3] *= -1
     x[2 * block : 2 * block + 3] = [0.0, -0.0, math.nan]
     t = rng.uniform(0.0, 1.0, n)
-    assert [cli._float_slots(x[i : i + block])[1] for i in range(0, n, block)] == [True, True, False, True]
+    # a block of proven values of one sign is cut to one width, so it has no NUL to strip
+    assert [cli._float_slots(x[i : i + block]).shape[1] < cli._SLOT for i in range(0, n, block)] == [
+        True, True, False, True]
     for name, columns in {"floats": [x, t], "with-ints": [x, np.arange(n) - block, x > 0, t]}.items():
         out = tmp_path / f"{name}.csv"
         header = [f"c{i}" for i in range(len(columns))]
