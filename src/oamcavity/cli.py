@@ -125,10 +125,11 @@ def _float_slots(v: np.ndarray) -> np.ndarray:
 
     For decimal exponent E in -6..16, 10**(16 - E) is exact, and Dekker's
     TwoProduct gives s + err = |x|*10**(16 - E) exactly in float64.  Where
-    that lies in [1e16, 1e17) and is no exact tie, s + rint(err) is the
-    correctly rounded 17-digit mantissa on any platform; every other value
-    (0, -0, nan, inf, E out of range, ties, a log10 one off next to a power
-    of ten) is formatted by ``%``.  Rows are `_SLOT` wide and NUL-padded, or
+    that lies in [1e16, 1e17), s + rint(err) is the correctly rounded
+    17-digit mantissa on any platform: s is even there, so rint's half to
+    even on an exact tie picks the digits ``%`` picks.  Every other value
+    (0, -0, nan, inf, E out of range, a log10 one off next to a power of
+    ten) is formatted by ``%``.  Rows are `_SLOT` wide and NUL-padded, or
     cut to their one width, with no NUL, when `v` has one sign and was all proven.
     """
     a = np.abs(v)
@@ -145,7 +146,7 @@ def _float_slots(v: np.ndarray) -> np.ndarray:
     r = np.rint(err)
     m = s.astype(np.int64) + r.astype(np.int64)
     # s + err < 1e16 or s >= 1e17 means log10 was one off, next to a power of ten
-    ok &= ((s > 1e16) | (s == 1e16) & (err >= 0)) & (s < 1e17) & (np.abs(err - r) != 0.5)
+    ok &= ((s > 1e16) | (s == 1e16) & (err >= 0)) & (s < 1e17)
     # numpy floor-divides by a constant fast and takes % slowly, so remainders are multiply-subtract
     m8, lead = m // 10**8, m // 10**16
     hi, lo = m8 - lead * 10**8, m - m8 * 10**8

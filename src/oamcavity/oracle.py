@@ -14,8 +14,8 @@ T = 2*pi/Omega, and `periodic_orbit` solves y(T) = y by Newton's method
 on the period map (Seydel, Practical Bifurcation and Stability Analysis,
 Springer 2010, ch. 7).  One LSODA run over one period integrates the
 state together with its sensitivity to the start, which gives y(T) and
-the monodromy matrix M; `_mean_field_jacobian` states the Jacobian the
-sensitivity needs.  The eigenvalues of M are the orbit's Floquet
+the monodromy matrix M; the sensitivity integrates the package's one
+linearisation, `response.drift_matrix`.  The eigenvalues of M are the orbit's Floquet
 multipliers: an orbit with max |mu| >= 1 repels nearby states, no
 time-domain run would settle on it, and the oracle refuses it with
 NoConvergence.  The window is then `WINDOW_PERIODS` periods integrated
@@ -32,13 +32,13 @@ The result is held to tolerances, not bits: LSODA is not promised to be
 bit-identical across scipy versions.  On `oracle_check.json` at Q = 2e3
 each of the five criterion-7 probes takes 3 Newton steps (at x = 0,
 three one-period runs of 215 LSODA steps each, then a 21-period window
-of 1150 steps), against 6366 periods and about 610 000 right-hand-side
-calls for the 20 damping times that the previous rule integrated.  The
-shooting c1+ lies within 5.9e-7 (relative) of that rule and within
+of 1150 steps), where a run over 20 damping times to let the transient
+die away takes 6366 periods and about 610 000 right-hand-side calls.
+The shooting c1+ lies within 5.9e-7 (relative) of such a run and within
 1.2e-7 of an rtol = 1e-13 shooting run; `validate -n 1` (x = -fwhm)
-deviates from the linearized response by 1.07e-7 (4.7e-7 under the
-previous rule), and max |mu| = 0.99842892 agrees with the dressed
-mechanical pole's exp(-pi*width*omega_phi/Omega) to 7e-9.  At high Q a resonant probe
+deviates from the linearized response by 1.07e-7, and max |mu| =
+0.99842892 agrees with the dressed mechanical pole's
+exp(-pi*width*omega_phi/Omega) to 7e-9.  At high Q a resonant probe
 drives the mechanics far into the nonlinear regime, and Newton need not
 converge: at Q = 2e5 a probe of 1e-3 * eps1 at x = 0 ends in
 NoConvergence after NEWTON_STEPS steps, while 1e-4 * eps1 converges.
@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import NoConvergence, PoorFit, StepSizeUnderflow, WindowTooShort
 from .params import SystemParams
-from .response import transmission
+from .response import drift_matrix, transmission
 
 # LSODA's error is not monotone in the tolerance: the `validate -n 1`
 # deviation reads 3.3e-5 at 1e-10 and 2.5e-5 at 3e-11, but 5.1e-7 at 1e-11
@@ -145,42 +145,22 @@ def _mean_field_rhs(equations):
     return rhs
 
 
-def _mean_field_jacobian(equations):
-    """The 6x6 Jacobian d f / d y of `_mean_field_rhs(equations)`, as J(y, t).
-
-    Only the detunings Delta_c1 + g1*phi and Delta_c2 - g2*phi and the
-    torque are nonlinear, so J depends on y through the two fields and phi
-    alone, and not on t: the probe term is additive.
-    """
-    dc1, dc2, k1, k2, g1, g2, *_, gam, om2, hbar_i, _ = equations
-    t1, t2 = 2.0 * hbar_i * g1, 2.0 * hbar_i * g2
-
-    def jac(y, t):
-        c1r, c1i, c2r, c2i, phi, _ = y.tolist()
-        d1 = dc1 + g1 * phi
-        d2 = dc2 - g2 * phi
-        return np.array(((-k1, d1, 0.0, 0.0, g1 * c1i, 0.0),
-                         (-d1, -k1, 0.0, 0.0, -g1 * c1r, 0.0),
-                         (0.0, 0.0, -k2, d2, -g2 * c2i, 0.0),
-                         (0.0, 0.0, -d2, -k2, g2 * c2r, 0.0),
-                         (0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
-                         (-t1 * c1r, -t1 * c1i, t2 * c2r, t2 * c2i, -om2, -gam)))
-
-    return jac
-
-
 def _sensitivity_rhs(equations, scales):
     """The state and its scaled sensitivity P = S^-1 (dy/dy0) S, S = diag(scales), as 42 states.
 
-    dP/dt = S^-1 J S P, so P starts at the identity and is dimensionless.
+    dP/dt = S^-1 J S P with J = `response.drift_matrix` along the state, so
+    P starts at the identity and is dimensionless.
     """
-    rhs, jac = _mean_field_rhs(equations), _mean_field_jacobian(equations)
+    rhs = _mean_field_rhs(equations)
+    dc1, dc2, k1, k2, g1, g2, *_, gam, om2, hbar_i, _ = equations
     s = np.asarray(scales, dtype=float)
     similar = s[None, :] / s[:, None]  # S^-1 J S, elementwise
 
     def rhs42(w, t):
         y = w[:6]
-        return np.concatenate((rhs(y, t), ((jac(y, t) * similar) @ w[6:].reshape(6, 6)).ravel()))
+        c1r, c1i, c2r, c2i, phi, _ = y.tolist()
+        jac = drift_matrix(k1, k2, g1, g2, gam, om2, hbar_i, dc1 + g1 * phi, dc2 - g2 * phi, c1r, c1i, c2r, c2i)
+        return np.concatenate((rhs(y, t), ((jac * similar) @ w[6:].reshape(6, 6)).ravel()))
 
     return rhs42
 

@@ -1,14 +1,15 @@
 """First-order sideband response of the system to the weak probe.
 
-Substituting delta_O = O_+ e^{-i*Omega*t} + O_- e^{+i*Omega*t} into the
-linearized fluctuation equations (quadratic fluctuation products dropped)
-and collecting both harmonics closes a complex linear system in
+The mean-value equations are linearised once, as `drift_matrix`
+(Aspelmeyer, Kippenberg & Marquardt, RMP 86, 1391 (2014)), which the
+oracle's sensitivity run integrates too.  With delta_O = O_+ e^{-i*Omega*t}
++ O_- e^{+i*Omega*t}, the e^{-i*Omega*t} harmonic of the linearised
+fluctuations solves a complex linear system in
 
-    (c1+, c1-*, c2+, c2-*, phi+, phi-*)
+    (c1+, c1-*, c2+, c2-*, phi+, -i*Omega*phi+)
 
-with the probe drive entering only the c1+ row.  The two mechanical rows
-are conjugate images of one another, so phi_- = conj(phi_+) must emerge
-from the solve; it is returned and checked rather than assumed.
+with the probe drive entering only the c1+ row.  phi is real, so
+phi_- = conj(phi_+) holds by construction.
 
 The hot path eliminates the system exactly onto phi+ (O(1) arithmetic per
 detuning), and it is one stacked kernel: `transmission_rows` evaluates T
@@ -17,9 +18,9 @@ scalars gathered once (`probe_stack`) and the grid evaluated in blocks of
 BLOCK_POINTS, one `_kernel` pass for every row.  A failing row comes back
 as its SingularSystem, all nan, and leaves the other rows alone.  Every T
 evaluation goes through it; `transmission_many` and `transmission_at` are
-its one-row case and raise the row's failure.  The six-amplitude LU
-`sideband_response` is the reference: `validate` compares the oracle's
-c1+ with it, and the tests compare the kernel with it and check its phi_-.
+its one-row case and raise the row's failure.  The LU solve of that
+system, `sideband_response`, is the reference: `validate` compares the
+oracle's c1+ with it, and the tests compare the kernel with it.
 The closed-form single-amplitude expression (D1..D4 form) is a third,
 independent cross-check of c1+ only.
 """
@@ -39,8 +40,7 @@ from .steady import SteadyState
 
 _log = logging.getLogger(__name__)
 
-#: relative singularity test: |det| against the row-norm product in the
-#: reference solve, |den| against |mech| + |s1| + |s2| in the kernel
+#: relative singularity test of the kernel and the reference solve: |den| against |mech| + |s1| + |s2|
 DET_THRESHOLD = 1e-30
 #: T above this is flagged (not raised) as probe gain
 GAIN_FLOOR = 1.0 + 1e-6
@@ -63,87 +63,57 @@ class ProbeResponse:
     phi_minus_conj: complex
 
 
-def _system_matrix(params: SystemParams, steady: SteadyState, omega: float):
-    k1, k2 = params.kappa1, params.kappa2
-    g1, g2 = params.g1, params.g2
-    d1, d2 = steady.delta1, steady.delta2
-    c1s, c2s = steady.c1, steady.c2
-    hg1 = params.hbar * g1 / params.inertia
-    hg2 = params.hbar * g2 / params.inertia
-    mech = params.omega_phi**2 - omega**2 - 1j * params.gamma_phi * omega
+def drift_matrix(k1, k2, g1, g2, gamma_phi, omega_phi_sq, hbar_over_inertia, d1, d2, c1r, c1i, c2r, c2i):
+    """The 6x6 drift matrix J = df/dy of the mean-value equations in the oracle's state y = (Re c1,
+    Im c1, Re c2, Im c2, phi, dphi/dt), at the fields and the instantaneous detunings d1 = Delta_c1 + g1*phi,
+    d2 = Delta_c2 - g2*phi; the additive probe does not enter it."""
+    t1, t2 = 2.0 * hbar_over_inertia * g1, 2.0 * hbar_over_inertia * g2
+    return np.array(((-k1, d1, 0.0, 0.0, g1 * c1i, 0.0),
+                     (-d1, -k1, 0.0, 0.0, -g1 * c1r, 0.0),
+                     (0.0, 0.0, -k2, d2, -g2 * c2i, 0.0),
+                     (0.0, 0.0, -d2, -k2, g2 * c2r, 0.0),
+                     (0.0, 0.0, 0.0, 0.0, 0.0, 1.0),
+                     (-t1 * c1r, -t1 * c1i, t2 * c2r, t2 * c2i, -omega_phi_sq, -gamma_phi)))
 
-    a = np.zeros((6, 6), dtype=complex)
-    b = np.zeros(6, dtype=complex)
-    # c1+ row (probe drive lives here)
-    a[0, 0] = k1 + 1j * (d1 - omega)
-    a[0, 4] = 1j * g1 * c1s
-    b[0] = params.eps_p
-    # conj of the c1- row
-    a[1, 1] = k1 - 1j * (d1 + omega)
-    a[1, 5] = -1j * g1 * np.conj(c1s)
-    # c2+ row
-    a[2, 2] = k2 + 1j * (d2 - omega)
-    a[2, 4] = -1j * g2 * c2s
-    # conj of the c2- row
-    a[3, 3] = k2 - 1j * (d2 + omega)
-    a[3, 5] = 1j * g2 * np.conj(c2s)
-    # mechanical rows: e^{-i Omega t} harmonic, then the conjugated e^{+i Omega t} one
-    for row, phicol in ((4, 4), (5, 5)):
-        a[row, 0] = hg1 * np.conj(c1s)
-        a[row, 1] = hg1 * c1s
-        a[row, 2] = -hg2 * np.conj(c2s)
-        a[row, 3] = -hg2 * c2s
-        a[row, phicol] = mech
-    return a, b
+
+def _amplitude_map(pair) -> np.ndarray:
+    """The 6x6 map that applies the 2x2 `pair` to each field's two components and leaves phi, dphi/dt."""
+    t = np.eye(6, dtype=complex)
+    t[:4, :4] = np.kron(np.eye(2), pair)
+    return t
+
+
+#: (Re c1, Im c1, Re c2, Im c2, phi, dphi/dt) -> (c1, c1*, c2, c2*, phi, dphi/dt) and back; with entries
+#: 1, +-1j, 0.5 and -+0.5j every product is exact, so an uncoupled field keeps its exact zeros
+_TO_AMPLITUDES = _amplitude_map(((1.0, 1j), (1.0, -1j)))
+_FROM_AMPLITUDES = _amplitude_map(((0.5, 0.5), (-0.5j, 0.5j)))
 
 
 def sideband_response(params: SystemParams, steady: SteadyState, omega: float) -> ProbeResponse:
     """Solve the sideband system at probe-drive detuning Omega.
 
-    Partial-pivot LU on the row/column-equilibrated matrix, one step of
-    iterative refinement.
+    The e^{-i*Omega*t} harmonic u of the linearised fluctuations obeys
+    (-i*Omega - T J T^-1) u = eps_p e_0, with J = `drift_matrix` at the
+    steady state and T the map to (c1, c1*, c2, c2*, phi, dphi/dt), so
+    u = (c1+, c1-*, c2+, c2-*, phi+, -i*Omega*phi+).  phi is real, so
+    phi- = conj(phi+) by construction.  Partial-pivot LU.
 
     Raises
     ------
     SingularSystem
-        when the equilibrated determinant falls below 1e-30 of the
-        row-norm product (a parametric-instability point).
+        where the kernel's denominator test fails at Omega (a
+        parametric-instability point).
     """
     if not math.isfinite(omega):
         raise ValueError(f"probe detuning must be finite, got {omega!r}")
-    a, b = _system_matrix(params, steady, omega)
-
-    # equilibrate with powers of two (exact in binary floating point)
-    row_norm = np.max(np.abs(a), axis=1)
-    row_scale = np.exp2(-np.round(np.log2(np.where(row_norm > 0, row_norm, 1.0))))
-    a_s = a * row_scale[:, None]
-    col_norm = np.max(np.abs(a_s), axis=0)
-    col_scale = np.exp2(-np.round(np.log2(np.where(col_norm > 0, col_norm, 1.0))))
-    a_s = a_s * col_scale[None, :]
-    b_s = b * row_scale
-
-    sign, logdet = np.linalg.slogdet(a_s)
-    rownorms = np.max(np.abs(a_s), axis=1)
-    log_thresh = math.log(DET_THRESHOLD) + float(np.sum(np.log(np.where(rownorms > 0, rownorms, 1.0))))
-    if sign == 0 or logdet < log_thresh:
-        raise SingularSystem(
-            f"sideband system singular at Omega = {omega:.6e} rad/s "
-            f"(log|det| = {logdet:.2f} below threshold {log_thresh:.2f})"
-        )
-
-    y = np.linalg.solve(a_s, b_s)
-    y += np.linalg.solve(a_s, b_s - a_s @ y)  # one refinement step
-    u = y * col_scale
-
-    return ProbeResponse(
-        omega=omega,
-        c1_plus=complex(u[0]),
-        c1_minus_conj=complex(u[1]),
-        c2_plus=complex(u[2]),
-        c2_minus_conj=complex(u[3]),
-        phi_plus=complex(u[4]),
-        phi_minus_conj=complex(u[5]),
-    )
+    if not _denominators(_row_constants(params, steady), omega)[2]:
+        raise SingularSystem(f"sideband system singular at Omega = {omega:.6e} rad/s")
+    c1, c2 = steady.c1, steady.c2
+    jac = drift_matrix(params.kappa1, params.kappa2, params.g1, params.g2, params.gamma_phi, params.omega_phi**2,
+                       params.hbar / params.inertia, steady.delta1, steady.delta2, c1.real, c1.imag, c2.real, c2.imag)
+    a = -1j * omega * np.eye(6) - _TO_AMPLITUDES @ jac @ _FROM_AMPLITUDES
+    u = np.linalg.solve(a, np.array((params.eps_p, 0, 0, 0, 0, 0), dtype=complex))
+    return ProbeResponse(omega, *map(complex, u[:5]), complex(u[4]))
 
 
 def closed_form_c1p(params: SystemParams, steady: SteadyState, omega: float) -> complex:
@@ -310,10 +280,10 @@ def _kernel(stack: ProbeStack, rows: np.ndarray, omegas: np.ndarray):
     """(ts, failures): T of each row over its omegas, in blocks of about BLOCK_POINTS detunings.
 
     Each cavity row of the sideband system couples only to its own
-    amplitude and to phi, and the two mechanical rows differ only in
-    their phi column, so with a_i = kappa_i + i(Delta_i - Omega),
-    b_i = kappa_i - i(Delta_i + Omega) the mechanical row closes on phi+
-    alone:
+    amplitude and to phi+, so with a_i = kappa_i + i(Delta_i - Omega),
+    b_i = kappa_i - i(Delta_i + Omega), hg_i = hbar*g_i/I and
+    mech = omega_phi^2 - Omega^2 - i*gamma_phi*Omega the two mechanical
+    rows close on phi+ alone:
 
         phi+ = -hg1*conj(c1s)*eps_p / (a1*den),  den = mech + s1 + s2,
         s_i  = i*hg_i*g_i*N_i*(1/b_i - 1/a_i) = -2*hg_i*g_i*N_i*Delta_i/(a_i*b_i),
@@ -343,11 +313,11 @@ def _kernel(stack: ProbeStack, rows: np.ndarray, omegas: np.ndarray):
     return ts, failures
 
 
-def _transmission_block(c: _Constants, w):
-    """(T, ok) over one block of detunings w, with the row constants c as (rows, 1) columns.
+def _denominators(c: _Constants, w):
+    """(a1, a1*den, ok) at detunings w, with the row constants c as scalars or (rows, 1) columns.
 
     ok holds where |den| clears DET_THRESHOLD*(|mech| + |s1| + |s2|) and
-    a1*den is finite; elsewhere T is 1 (c1+ = 0), a value the caller discards.
+    a1*den is finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         iw = 1j * w
@@ -356,6 +326,13 @@ def _transmission_block(c: _Constants, w):
         den = mech + s1 + s2
         a1_den = a1 * den  # phi+'s denominator overflows where den need not (quality_factor = 1e-290)
         ok = (np.abs(den) > DET_THRESHOLD * (np.abs(mech) + np.abs(s1) + np.abs(s2))) & np.isfinite(a1_den)
+    return a1, a1_den, ok
+
+
+def _transmission_block(c: _Constants, w):
+    """(T, ok) over one block of detunings w, with `_denominators`' ok; where it fails, T is 1 (c1+ = 0),
+    a value the caller discards."""
+    a1, a1_den, ok = _denominators(c, w)
     if not ok.all():
         a1[~ok] = a1_den[~ok] = np.inf
     c1_plus = (c.eps_p - c.coupling * (c.phi_drive / a1_den)) / a1

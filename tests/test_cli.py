@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -189,14 +190,35 @@ def test_write_csv_unproven_values_go_through_percent(tmp_path, monkeypatch):
     # digits that no correct row holds: any value the kernel formatted would show them
     monkeypatch.setattr(cli, "_DIGITS4", np.full_like(cli._DIGITS4, int.from_bytes(b"????", "little")))
     subnormals = np.random.default_rng(3).integers(1, 2**52, 20).view(np.float64)
-    ties = np.array(_exact_ties())
     values = np.concatenate([[0.0, -0.0, math.nan, math.inf, -math.inf, 1e-7, 9.99e-7, 1e17, 1.5e300],
-                             subnormals, -subnormals, ties, -ties])
+                             subnormals, -subnormals])
     out = tmp_path / "f.csv"
     _write_csv(out, ["c0", "c1"], [values, values[::-1]])
     assert out.read_bytes() == _percent_csv([values, values[::-1]])
     _write_csv(out, ["x"], [np.linspace(-0.2, 0.2, 40001)])
     assert [row for row in out.read_bytes().splitlines()[1:] if b"?" not in row] == [b"0.0000000000000000e+00"]
+
+
+def test_write_csv_exact_ties_take_the_exact_product(tmp_path, monkeypatch):
+    """Exact ties |x|*10**(16-E) = n + 1/2, n in [1e16, 1e17), up to 30 at each E in -6..15 and of both signs,
+    round half to even like ``%`` (at E = 16, |x| is an integer and no tie exists)."""
+    rng = np.random.default_rng(60)
+    ties = []
+    for e in range(-6, 16):
+        lo, hi = -(-2 * 10**16 // 5 ** (16 - e)), min(2 * 10**17 // 5 ** (16 - e), 2**53)
+        for q in sorted({lo | 1, *(int(q) | 1 for q in rng.integers(lo, hi - 1, 29))}):
+            x = q * 2.0 ** (e - 17)  # x*10**(16-e) = q*5**(16-e)/2, q odd
+            n2 = Fraction(x) * 10 ** (16 - e) * 2
+            assert n2.denominator == 1 and n2.numerator % 2 == 1 and 2 * 10**16 < n2 < 2 * 10**17
+            ties.append(x)
+    values = np.concatenate([ties, np.negative(ties)])
+    out = tmp_path / "t.csv"
+    _write_csv(out, ["c0"], [values])
+    assert out.read_bytes() == _percent_csv([values])
+    # digits that no correct row holds: every row shows them, so no tie went through `%`
+    monkeypatch.setattr(cli, "_DIGITS4", np.full_like(cli._DIGITS4, int.from_bytes(b"????", "little")))
+    _write_csv(out, ["c0"], [values])
+    assert all(b"?" in row for row in out.read_bytes().splitlines()[1:])
 
 
 def test_write_csv_blocks_of_one_width_and_of_mixed_signs(tmp_path):
@@ -851,6 +873,23 @@ def test_zero_probe_power_refused_where_t_is_measured(tmp_path, capsys, argv, co
     else:
         assert capsys.readouterr().err.startswith("ConfigError: probe_power: ")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.slow
+def test_validate_disagreement_exit_4(capsys):
+    # the x = 0 probe sits on the Fano config's dressed pole, where the oracle deviates by 4.871e-3
+    assert main(["validate", "--config", str(CONFIGS / "strong_drive_fano.json"), "-n", "3"]) == 4
+    out, err = capsys.readouterr()
+    assert "x = +0.0000e+00" in out and "rel dev 4.871e-03" in out
+    assert err == "linearized response and time-domain oracle disagree beyond 1e-3\n"
+
+
+def test_config_holding_a_json_array_exits_2(tmp_path, capsys):
+    config = tmp_path / "array.json"
+    config.write_text("[]\n", encoding="utf-8")
+    assert main(["spectrum", "--config", str(config), "-n", "11", "--out", str(tmp_path / "s.csv")]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError: <document>: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["array.json"]
 
 
 def test_validate_multistable_exit_3(capsys):

@@ -31,7 +31,7 @@ from oamcavity import (
 )
 from oamcavity import oracle
 from oamcavity.oracle import window_times
-from oamcavity.response import dressed_mode
+from oamcavity.response import dressed_mode, drift_matrix
 
 
 @pytest.mark.slow
@@ -95,6 +95,20 @@ def test_demodulate_window_too_short():
                       phi_dot=np.zeros_like(ts), stats={})
     with pytest.raises(WindowTooShort):
         demodulate(traj.times, traj.c1, om)
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.0])
+def test_demodulate_refuses_non_positive_frequency(omega):
+    ts = window_times(1.0, 2 * math.pi * 20)
+    with pytest.raises(ValueError, match="must be positive"):
+        demodulate(ts, np.ones_like(ts, dtype=complex), omega)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf])
+def test_periodic_orbit_refuses_non_finite_frequency(omega):
+    p = derive_params(default_config())
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        oracle.periodic_orbit(p, (p.detuning1, 0.0), omega)
 
 
 def test_demodulate_flags_higher_harmonics():
@@ -324,6 +338,28 @@ def test_rhs_matches_complex_form_equations(monkeypatch):
                           p.gamma_phi * abs(y[5]) + p.omega_phi**2 * phi
                           + p.hbar / p.inertia * (abs(p.g1) * c1**2 + abs(p.g2) * c2**2)])
         assert np.all(np.abs(got - want) <= 1e-14 * bound), (y, t, got, want)
+
+
+def test_drift_matrix_is_the_derivative_of_the_rhs():
+    """`drift_matrix` against central differences of the oracle's right-hand side with the probe off,
+    column by column, at the oracle_check steady state and half a drive-set scale away from it in every
+    component (Delta_2 = 0 and c2 is real at the steady state, so some entries vanish only there).  The
+    right-hand side is at most quadratic in the state, so a step of one scale leaves rounding alone: 1e-15
+    of each column's largest entry, and 1e-9 in the dphi/dt column, whose torque row keeps the rounding of
+    omega_phi^2*phi (about 7e10 rad/s^2) against gamma_phi*dphi/dt."""
+    p, st = operating_point(load_config(str(Path(__file__).resolve().parents[1] / "configs" / "oracle_check.json")))
+    bare = bare_detunings(p, st)
+    equations, scales = oracle._equations(p, bare, p.omega_phi, 0.0)
+    rhs = oracle._mean_field_rhs(equations)
+    steps = np.diag(scales)
+    bounds = np.array([1e-15] * 5 + [1e-9])
+    at_rest = np.array([st.c1.real, st.c1.imag, st.c2.real, st.c2.imag, st.phi, 0.0])
+    for y in (at_rest, at_rest + 0.5 * np.array(scales)):
+        jac = drift_matrix(p.kappa1, p.kappa2, p.g1, p.g2, p.gamma_phi, p.omega_phi**2, p.hbar / p.inertia,
+                           bare[0] + p.g1 * y[4], bare[1] - p.g2 * y[4], *y[:4])
+        diffs = np.column_stack([(np.array(rhs(y + e, 0.0)) - np.array(rhs(y - e, 0.0))) / (2.0 * h)
+                                 for e, h in zip(steps, scales)])
+        assert np.all(np.max(np.abs(diffs - jac), axis=0) <= bounds * np.max(np.abs(jac), axis=0)), y
 
 
 def _criterion_7_orbits(oracle_equivalence):

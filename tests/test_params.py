@@ -75,6 +75,12 @@ def test_validate_names_offending_fields():
     assert fields == {"finesse1", "drive1_power"}
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validate_rejects_non_finite_detuning2(value):
+    cfg = dataclasses.replace(default_config(), detuning2=Detuning2Spec("bare", value))
+    assert [v.field for v in validate(cfg)] == ["detuning2"]
+
+
 def test_validate_rejects_non_integer_charge():
     cfg = dataclasses.replace(default_config(), charge_l1=2.5)
     fields = {v.field for v in validate(cfg)}

@@ -159,6 +159,12 @@ def test_singular_system_guard(weak_dark):
     assert exc.value.reason == "SingularSystem"
 
 
+def test_closed_form_singular_guard(weak_dark):
+    p0, st = singular_point(weak_dark[0])
+    with pytest.raises(SingularSystem, match="closed-form denominator vanished at Omega = 6.283185e"):
+        closed_form_c1p(p0, st, p0.omega_phi)
+
+
 def test_row_failing_in_a_later_block_is_nan_throughout(weak_dark):
     # the singular row's first bad detuning is its last, in the kernel's second block
     p, st = weak_dark

@@ -393,3 +393,17 @@ def test_unsettled_pole_leaves_no_width(monkeypatch):
     with pytest.raises(DipTooShallow, match="not settled after 1 of 1 steps"):
         response.dressed_mode(p, st)
     assert find_valley(p, st).fwhm is None
+
+
+@pytest.mark.parametrize("error", [DipTooShallow("half depth not crossed"), ValueError("bad samples")])
+def test_failing_linewidth_leaves_no_width(monkeypatch, error):
+    p, st = operating_point(load_config(str(CONFIGS / "oracle_check.json")))
+    valley = find_valley(p, st)
+    assert valley.fwhm is not None
+
+    def failing(*args):
+        raise error
+
+    monkeypatch.setattr(spectrum, "linewidth", failing)
+    without = find_valley(p, st)
+    assert without.fwhm is None and without.x_star == valley.x_star

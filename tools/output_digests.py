@@ -17,14 +17,16 @@ overflows on every row but the first, so that one stacked kernel call
 holds valid and failed rows), the calibrations it skips
 (`EXTRA_CALIBRATIONS`: one whose l1 = 0 charge fails), the spectra whose
 CSV blocks it does not reach (`EXTRA_SPECTRA`: x = 0 as the first row of
-a block, and |x| below 1e-6) and the invocations
+a block, and |x| below 1e-6), `validate` runs of several probes
+(`EXTRA_VALIDATIONS`, one of them failing with exit 4) and the invocations
 whose points fail (`FAILURE_RUNS`, among them runs without a probe, whose
 points are refused unless the kernel fails them first), runs every
 invocation once through ``oamcavity.cli.main`` from ``<repo-root>/src`` in
 this process, and prints one line per data file (``<invocation> <file>
 <sha256>``), one per invocation with its exit code (``exit <code>``, or
 ``exception <Type>`` for an exception that escapes ``main``) and the
-sha256 of its stderr, and one for the `validate` stdout.  The bench is imported, never modified;
+sha256 of its stderr, and one for the stdout of each `validate` run
+that is not a failure run.  The bench is imported, never modified;
 inputs and outputs go to a temporary directory.  The extra sweeps,
 calibrations, spectra and failure runs take the shipped configs (or one-key edits of
 `oracle_check.json`, `EDITED_CONFIGS`) and do not depend on the seed.  A
@@ -84,6 +86,11 @@ EXTRA_CALIBRATIONS = (
 EXTRA_SPECTRA = (
     ("spectrum/zero-opens-block-2", "oracle_check", 8193, -0.2, 0.2),  # x = 0 is row 4096
     ("spectrum/below-1e-6", "oracle_check", 4001, -2e-6, 2e-6),  # about half of x has |x| < 1e-6
+)
+#: (name, config, n): validate runs, whose stdout is digested; config is a stem under configs/
+EXTRA_VALIDATIONS = (
+    ("validate/oracle-check-n5", "oracle_check", 5),  # exit 0
+    ("validate/fano-n3", "strong_drive_fano", 3),  # exit 4: the x = 0 probe deviates by 4.9e-3
 )
 #: config stem -> (key, value): `oracle_check.json` with that key set
 EDITED_CONFIGS = {
@@ -147,6 +154,12 @@ def extra_runs(workloads, root: Path, workdir: Path) -> list:
     return ops
 
 
+def validation_runs(workloads, root: Path) -> list:
+    """One `workloads.Op` per `EXTRA_VALIDATIONS` row; it writes no data file."""
+    return [workloads.Op(name, ["validate", "--config", str(root / "configs" / f"{stem}.json"), "-n", str(n)], [])
+            for name, stem, n in EXTRA_VALIDATIONS]
+
+
 def failure_runs(workloads, root: Path, workdir: Path) -> list:
     """One `workloads.Op` per `FAILURE_RUNS` row; its output path, if any, is its data file."""
     workdir.mkdir(parents=True)
@@ -179,6 +192,7 @@ def digests(root: Path, seed: int) -> list[str]:
             wl.write_inputs()
             runs += [(name, op) for op in wl.ops]
         runs += [("extra", op) for op in extra_runs(workloads, root, Path(tmp) / "extra")]
+        runs += [("validate", op) for op in validation_runs(workloads, root)]
         runs += [("fail", op) for op in failure_runs(workloads, root, Path(tmp) / "fail")]
         for name, op in runs:
             stdout, stderr = io.StringIO(), io.StringIO()
